@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from time import perf_counter
 
 from . import analyzer, constructor, period, verify
@@ -85,7 +86,7 @@ def _cmd_set(args):
             lines.append(f"  d={d}: multiplier {ms.multipliers[d]}")
     oracle_checked = False
     if args.oracle:
-        against = period.oracle_midy_sweep(args.n, args.base, fast=args.fast_oracle)
+        against = period.oracle_midy_sweep(args.n, args.base)
         wanted = {d: d in ms.members for d in against}
         if against != wanted:
             raise MidyError(
@@ -178,9 +179,7 @@ def _cmd_zsig(args):
 def _cmd_verify(args):
     suite = verify.SUITES[args.suite]
     kwargs = {}
-    if args.suite in ("oracle-equivalence", "mode-equivalence"):
-        kwargs = {"base": args.base, "max_n": args.max_n, "fast": args.fast_oracle}
-    elif args.suite == "coset":
+    if args.suite in _MAX_N_DEFAULTS:  # the suites over moduli n <= max_n
         kwargs = {"base": args.base, "max_n": args.max_n}
     elif args.suite in ("prime-power", "order-lift"):
         # --max-n doubles as the exponent bound here
@@ -188,8 +187,6 @@ def _cmd_verify(args):
         kwargs = {"base": args.base, "max_p": args.max_p, "max_exp": max_exp}
     elif args.suite == "product":
         kwargs = {"base": args.base, "max_product": args.max_product}
-    elif args.suite in ("upward-closure", "even-multiplier", "gcd-form"):
-        kwargs = {"base": args.base, "max_n": args.max_n}
     elif args.suite == "zsig":
         kwargs = {"max_base": args.max_base, "max_order": args.max_order}
     report = suite(**kwargs)
@@ -211,7 +208,9 @@ def _add_common(sub):
     sub.add_argument("--json", action="store_true", help="emit one JSON document")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="midy",
         description="Block-sum divisibility (Midy) sets of repeating base-b expansions.",
@@ -238,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check every divisor against the digit oracle")
-    p.add_argument("--fast-oracle", action="store_true",
-                   help="oracle skips to one numerator per orbit of the base")
     p.add_argument("--multipliers", action="store_true",
                    help="also print the block-sum multiplier of every member")
     _add_common(p)
@@ -291,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-product", type=int, default=2000)
     p.add_argument("--max-base", type=int, default=20)
     p.add_argument("--max-order", type=int, default=12)
-    p.add_argument("--fast-oracle", action="store_true")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="also write the full JSON report to PATH")
     _add_common(p)

@@ -50,10 +50,11 @@ def primitive_prime(
     ``scan`` walks candidates p = 1 (mod n) up to ``limit`` and errors when
     exhausted; ``cyclotomic`` factors the n-th cyclotomic value at b and
     filters its primes by order, exact but as costly as that factorization.
-    ``auto`` scans a short prefix, takes the cyclotomic route only while its
-    value is tractable (small, or itself prime: e.g. 12207031 for base 5 and
-    n = 11 sits beyond any reasonable scan), then finishes the scan to
-    ``limit`` before giving up.
+    ``auto`` scans a short prefix, takes the cyclotomic route while its value
+    is small, returns the value itself when it is prime (then it is the only
+    prime of order n: e.g. 2**127 - 1 for base 2 and n = 127 sits beyond any
+    reasonable scan), and otherwise finishes the scan to ``limit`` before
+    giving up.
     """
     if b < 2:
         raise MidyError(f"base must be >= 2, got {b}")
@@ -73,8 +74,12 @@ def primitive_prime(
             return _primitive_scan(b, n, short)
         except MidyError:
             value = _cyclotomic_value(n, b)
-            if value.bit_length() <= 80 or is_prime(value):
+            if value.bit_length() <= 80:
                 return _primitive_cyclotomic(b, n)
+            if n % value and is_prime(value):
+                # a prime factor of the cyclotomic value that does not divide
+                # n has order exactly n, and every prime of order n divides it
+                return value
             if limit > short:
                 return _primitive_scan(b, n, limit)
             raise
@@ -231,8 +236,10 @@ def shrink(n: int, b: int, *, oracle_bound: int = 1_000_000) -> ShrinkResult:
 
     Runs one shrink_step per prime of the period length, feeding the grown
     modulus forward.  The final set is recomputed with the fast test and, when
-    z*n stays within oracle_bound, re-checked against the digit oracle.  A set
-    that is already the singleton returns z = 1 untouched.
+    z*n stays within oracle_bound, re-checked against the digit oracle.  That
+    re-check costs about phi(z*n) long-division steps, one digit per unit
+    numerator, plus one block-sum update per numerator for each divisor not yet
+    refuted.  A set that is already the singleton returns z = 1 untouched.
     """
     _check_pair(b, n)
     start = midy_set(n, b)

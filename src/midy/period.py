@@ -2,6 +2,10 @@
 
 The oracle here is the ground truth the theorem-based tests in
 :mod:`midy.analyzer` are checked against: it works straight from the digits.
+Its all-x mode runs one long division per orbit {x, x*b, x*b**2, ...} of the
+unit numerators: the digits of x*b mod n are those of x rotated one place
+left, so that division yields the digits of every numerator in the orbit.
+Each numerator's exact block sum then follows from its predecessor's.
 """
 
 from __future__ import annotations
@@ -10,10 +14,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .ntcore import MidyError, _check_pair, _order_int, divisors
-
-_DIGIT36 = bytes.maketrans(
-    bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz"
-)
 
 
 @dataclass(frozen=True)
@@ -88,69 +88,50 @@ def blocks(expansion: PeriodExpansion, d: int) -> BlockDecomposition:
     return BlockDecomposition(d=d, k=k, blocks=tuple(vals), block_sum=sum(vals))
 
 
-def _unit_numerators(n: int, b: int, fast: bool):
-    # fast mode yields one representative per orbit x, x*b, x*b**2, ... mod n;
-    # block sums along an orbit are all divisible by b**k - 1 or none are.
-    if not fast:
-        for x in range(1, n):
-            if gcd(x, n) == 1:
-                yield x
-        return
-    seen = bytearray(n)
-    for x in range(1, n):
-        if seen[x] or gcd(x, n) != 1:
-            continue
-        yield x
-        y = x * b % n
-        while y != x:
-            seen[y] = 1
-            y = y * b % n
-
-
-def _valid_divisors(e: int) -> list[int]:
-    return [d for d in divisors(e) if d >= 2]
-
-
-def oracle_midy(n: int, b: int, d: int, mode: str = "all-x", fast: bool = False) -> bool:
+def oracle_midy(n: int, b: int, d: int, mode: str = "all-x") -> bool:
     """Brute-force Midy test straight from the digit definition.
 
-    In ``all-x`` mode every unit numerator is expanded and its block sum
-    tested for divisibility by b**k - 1; ``x-equals-1`` tests the period
-    integer of 1/n instead.  ``fast`` (all-x only) skips to one numerator per
-    multiplicative orbit of b; the default sticks to the literal definition.
+    In ``all-x`` mode every unit numerator's block sum is tested for
+    divisibility by b**k - 1; ``x-equals-1`` tests the period integer of 1/n
+    instead.  The single-d form of :func:`oracle_midy_sweep`.
     """
-    _check_pair(b, n)
-    e = _order_int(b, n)
-    if d < 2 or e % d:
-        raise MidyError(f"d must be a divisor >= 2 of the period length {e}, got {d}")
-    k = e // d
+    return oracle_midy_sweep(n, b, [d], mode)[d]
+
+
+def _rotation_block_sums(digs: list[int], b: int, k: int):
+    """Exact block sums, for blocks of k digits, of every rotation of a period.
+
+    Rotation t (t places left) of the period of x/n is the period of
+    x*b**t mod n, and its block sum is S(xb) = b*S(x) - (b**k - 1)*T(x), where
+    T(x) is the sum of the blocks' leading digits: lead[t % k] below.  The
+    first sum is the Horner value of the column sums lead, which adds the
+    blocks of the unrotated period exactly.
+    """
     modulus = b**k - 1
-    if mode == "x-equals-1":
-        return period_integer(n, b) % modulus == 0
-    if mode != "all-x":
-        raise MidyError(f"unknown oracle mode {mode!r}")
-    for x in _unit_numerators(n, b, fast):
-        if blocks(expand(x, n, b), d).block_sum % modulus:
-            return False
-    return True
+    lead = [sum(digs[j::k]) for j in range(k)]
+    s = 0
+    for t in lead:
+        s = s * b + t
+    for _ in range(len(digs) // k):
+        for t in lead:
+            yield s
+            s = b * s - modulus * t
 
 
 def oracle_midy_sweep(
-    n: int,
-    b: int,
-    ds: list[int] | None = None,
-    mode: str = "all-x",
-    fast: bool = False,
+    n: int, b: int, ds: list[int] | None = None, mode: str = "all-x"
 ) -> dict[int, bool]:
-    """``oracle_midy`` over several divisors at once, expanding each numerator once.
+    """The digit oracle over several divisors at once.
 
     Returns {d: verdict}.  With ds omitted, every divisor >= 2 of the period
-    length is tested.  Identical in meaning to per-d calls, just cheaper.
+    length is tested.  In ``all-x`` mode each unit numerator gets its own exact
+    block sum, tested for divisibility by b**k - 1; ``x-equals-1`` tests the
+    period integer of 1/n instead.
     """
     _check_pair(b, n)
     e = _order_int(b, n)
     if ds is None:
-        ds = _valid_divisors(e)
+        ds = [d for d in divisors(e) if d >= 2]
     ds = sorted(set(ds))
     for d in ds:
         if d < 2 or e % d:
@@ -160,39 +141,26 @@ def oracle_midy_sweep(
         return {d: big % (b ** (e // d) - 1) == 0 for d in ds}
     if mode != "all-x":
         raise MidyError(f"unknown oracle mode {mode!r}")
-    moduli = {d: b ** (e // d) - 1 for d in ds}
-    out = {d: True for d in ds}
-    pending = set(ds)
-    textual = b <= 36  # digit strings let int() do the block parsing in C
-    for x in _unit_numerators(n, b, fast):
+    out = dict.fromkeys(ds, True)
+    pending = list(ds)
+    seen = bytearray(n)
+    # one long division per orbit {x, x*b, x*b**2, ...}: its remainders are the
+    # orbit, and its rotations are the digits of every numerator in it
+    for x in range(1, n):
         if not pending:
             break
+        if seen[x] or gcd(x, n) != 1:
+            continue
+        digs = []
         r = x
-        if textual:
-            raw = bytearray(e)
-            for i in range(e):
-                raw[i], r = divmod(r * b, n)
-            text = bytes(raw).translate(_DIGIT36).decode("ascii")
-            for d in tuple(pending):
-                k = e // d
-                total = sum(int(text[j : j + k], b) for j in range(0, e, k))
-                if total % moduli[d]:
-                    out[d] = False
-                    pending.discard(d)
-        else:
-            digs = []
-            for _ in range(e):
-                a, r = divmod(r * b, n)
-                digs.append(a)
-            for d in tuple(pending):
-                k = e // d
-                total = 0
-                for j in range(0, e, k):
-                    acc = 0
-                    for a in digs[j : j + k]:
-                        acc = acc * b + a
-                    total += acc
-                if total % moduli[d]:
-                    out[d] = False
-                    pending.discard(d)
+        for _ in range(e):
+            seen[r] = 1
+            a, r = divmod(r * b, n)
+            digs.append(a)
+        for d in tuple(pending):
+            k = e // d
+            modulus = b**k - 1
+            if any(s % modulus for s in _rotation_block_sums(digs, b, k)):
+                out[d] = False
+                pending.remove(d)
     return out

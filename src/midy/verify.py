@@ -76,10 +76,10 @@ def _moduli(base: int, max_n: int):
             yield n, e, ds
 
 
-def oracle_records(base: int, max_n: int, fast: bool = False):
+def oracle_records(base: int, max_n: int):
     """Per-(n, d) verdicts of the fast test, the all-x oracle and the x=1 oracle."""
     for n, e, ds in _moduli(base, max_n):
-        all_x = oracle_midy_sweep(n, base, ds, mode="all-x", fast=fast)
+        all_x = oracle_midy_sweep(n, base, ds, mode="all-x")
         x_one = oracle_midy_sweep(n, base, ds, mode="x-equals-1")
         for d in ds:
             yield {
@@ -92,22 +92,22 @@ def oracle_records(base: int, max_n: int, fast: bool = False):
             }
 
 
-def sweep_oracle_equivalence(base: int = 10, max_n: int = 1000, fast: bool = False) -> SweepReport:
+def sweep_oracle_equivalence(base: int = 10, max_n: int = 1000) -> SweepReport:
     """Fast membership test against the all-x digit oracle."""
     t0 = perf_counter()
-    report = SweepReport("oracle-equivalence", {"base": base, "max_n": max_n, "fast": fast}, 0)
-    for rec in oracle_records(base, max_n, fast):
+    report = SweepReport("oracle-equivalence", {"base": base, "max_n": max_n}, 0)
+    for rec in oracle_records(base, max_n):
         report.instances += 1
         if rec["theorem"] != rec["all_x"]:
             report.failures.append(rec)
     return _finish(report, t0)
 
 
-def sweep_mode_equivalence(base: int = 10, max_n: int = 1000, fast: bool = False) -> SweepReport:
+def sweep_mode_equivalence(base: int = 10, max_n: int = 1000) -> SweepReport:
     """All-x oracle against the x=1 oracle."""
     t0 = perf_counter()
-    report = SweepReport("mode-equivalence", {"base": base, "max_n": max_n, "fast": fast}, 0)
-    for rec in oracle_records(base, max_n, fast):
+    report = SweepReport("mode-equivalence", {"base": base, "max_n": max_n}, 0)
+    for rec in oracle_records(base, max_n):
         report.instances += 1
         if rec["all_x"] != rec["x_equals_1"]:
             report.failures.append(rec)

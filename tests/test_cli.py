@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from midy.cli import main, render_digits
+from midy.cli import build_parser, main, render_digits
 
 
 def run_json(capsys, argv):
@@ -30,6 +30,14 @@ def test_order_domain_error(capsys):
     assert main(["order", "--base", "10", "20"]) == 1
     err = capsys.readouterr().err
     assert "coprime" in err
+
+
+def test_parser_built_once_with_fresh_namespaces():
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(["verify", "coset", "--max-n", "20"])
+    second = build_parser().parse_args(["verify", "coset"])
+    assert first is not second
+    assert (first.max_n, second.max_n) == (20, None)
 
 
 def test_usage_error_exits_2():
@@ -110,6 +118,15 @@ def test_check_command(capsys):
     assert doc["oracle_checked"] is True
 
 
+def test_check_oracle_large_modulus(capsys):
+    # 100002 unit numerators in two orbits of period length 50001: one long
+    # division per orbit keeps this to a fraction of a second
+    code, doc = run_json(capsys, ["check", "--base", "10", "100003", "50001", "--oracle"])
+    assert code == 0
+    assert doc["result"]["member"] is True
+    assert doc["oracle_checked"] is True
+
+
 def test_shrink_command(capsys):
     code, doc = run_json(capsys, ["shrink", "--base", "10", "13"])
     assert code == 0
@@ -170,16 +187,6 @@ def test_verify_prime_power_max_n_means_exponent(capsys):
     )
     assert code == 0
     assert doc["result"]["params"]["max_exp"] == 3
-    assert doc["result"]["passed"] is True
-
-
-def test_verify_fast_oracle_flag(capsys):
-    code, doc = run_json(
-        capsys,
-        ["verify", "oracle-equivalence", "--base", "3", "--max-n", "60", "--fast-oracle"],
-    )
-    assert code == 0
-    assert doc["result"]["params"]["fast"] is True
     assert doc["result"]["passed"] is True
 
 

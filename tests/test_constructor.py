@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+from midy import constructor
 from midy.analyzer import midy_set
 from midy.constructor import (
     BRANCH_C_GE_S_PLUS_1,
@@ -61,6 +62,21 @@ def test_primitive_prime_beyond_scan_bound():
     p = primitive_prime(5, 11)
     assert p == 12207031
     assert multiplicative_order(5, p).order == 11
+
+
+def test_primitive_prime_prime_cyclotomic_value_returned_directly(monkeypatch):
+    # Phi_127(2) = 2**127 - 1 is prime, so it is the only prime of order 127;
+    # no factorization of it or of p - 1 is needed to say so
+    mersenne = 2**127 - 1
+    order_int = constructor._order_int
+
+    def guarded(b, n):
+        if n == mersenne:
+            raise AssertionError("order of the prime cyclotomic value recomputed")
+        return order_int(b, n)
+
+    monkeypatch.setattr(constructor, "_order_int", guarded)
+    assert primitive_prime(2, 127) == mersenne
 
 
 def test_primitive_prime_against_scan_oracle():
@@ -251,6 +267,15 @@ def test_shrink_oracle_cross_check():
             if d < 2:
                 continue
             assert oracle_midy(zn, b, d) == (d == e)
+
+
+def test_shrink_oracle_recheck_of_large_product():
+    # z*n = 701097 (period length 232) sits under the default oracle bound, so
+    # the digit oracle re-checks every block count over its 430,592 unit numerators
+    res = shrink(1003, 2)
+    assert res.z == 699
+    assert res.shrunk_modulus == 701097 <= 10**6
+    assert res.final_set.members == (232,)
 
 
 def test_minimal_shrink_multiplier():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from midy.ntcore import MidyError, divisors, multiplicative_order
 from midy.period import (
+    _rotation_block_sums,
     blocks,
     expand,
     oracle_midy,
@@ -142,25 +143,48 @@ def test_oracle_rejects_bad_d():
         oracle_midy(13, 10, 3, mode="sideways")
 
 
-def test_oracle_modes_and_fast_path_agree():
-    for b in (2, 3, 10):
-        for n in range(2, 200):
-            if gcd(n, b) != 1:
+def _reference_verdicts(n, b, ds):
+    # the definition itself: expand every unit numerator and parse its blocks
+    e = multiplicative_order(b, n).order
+    periods = [expand(x, n, b) for x in range(1, n) if gcd(x, n) == 1]
+    return {
+        d: all(blocks(p, d).block_sum % (b ** (e // d) - 1) == 0 for p in periods)
+        for d in ds
+    }
+
+
+def test_oracle_sweep_matches_block_sums():
+    cases = [(b, n) for b in (2, 3, 10) for n in range(2, 200)]
+    cases += [(300, n) for n in (7, 17, 37, 41, 49, 101, 121, 133)]  # digits >= 256
+    for b, n in cases:
+        if gcd(n, b) != 1:
+            continue
+        e = multiplicative_order(b, n).order
+        ds = [d for d in divisors(e) if d >= 2]
+        if not ds:
+            continue
+        literal = oracle_midy_sweep(n, b, ds, mode="all-x")
+        assert literal == _reference_verdicts(n, b, ds), (n, b)
+        assert literal == oracle_midy_sweep(n, b, ds, mode="x-equals-1"), (n, b)
+
+
+def test_rotation_block_sums_are_exact():
+    # the oracle's sums for the orbit x, x*b, x*b**2, ... are the literal ones
+    cases = ((13, 10, 1), (49, 10, 3), (97, 10, 5), (41, 2, 7), (121, 3, 2), (37, 300, 5))
+    for n, b, x in cases:
+        e = multiplicative_order(b, n).order
+        for d in divisors(e):
+            if d < 2:
                 continue
-            e = multiplicative_order(b, n).order
-            ds = [d for d in divisors(e) if d >= 2]
-            if not ds:
-                continue
-            literal = oracle_midy_sweep(n, b, ds, mode="all-x")
-            fast = oracle_midy_sweep(n, b, ds, mode="all-x", fast=True)
-            x_one = oracle_midy_sweep(n, b, ds, mode="x-equals-1")
-            assert literal == fast == x_one
-            for d in ds:
-                assert literal[d] == oracle_midy(n, b, d, mode="all-x")
+            sums = list(_rotation_block_sums(list(expand(x, n, b).digits), b, e // d))
+            literal = [
+                blocks(expand(x * pow(b, t, n) % n, n, b), d).block_sum for t in range(e)
+            ]
+            assert sums == literal, (n, b, x, d)
 
 
 def test_sweep_matches_singles_at_large_base():
-    # base > 36 exercises the non-textual block path
+    # digits beyond the 36 alphanumerics
     n, b = 107, 97
     e = multiplicative_order(b, n).order
     ds = [d for d in divisors(e) if d >= 2]
