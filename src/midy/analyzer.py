@@ -4,11 +4,12 @@ Membership rests on the exact divisibility criterion
 
     d in M_b(n)  <=>  n | (b**e - 1) // (b**k - 1),   e = ord_n(b), k = e // d,
 
-checked prime by prime without ever materializing b**k - 1.  For an odd prime
-p of n with ord_p(b) | k the quotient carries exactly nu_p(d) factors of p
-(lifting the exponent).  The 2-adic case needs care: for odd b and even d the
-quotient absorbs nu_2(d) + nu_2(b**k + 1) - 1 twos, one more than nu_2(d)
-whenever k is odd and b = 3 (mod 4).
+checked prime by prime without ever materializing b**k - 1.  The order of
+each prime p of n is found once, and p only matters for the d whose k it
+divides (exactly when b**k = 1 mod p).  Such an odd p has exactly nu_p(d)
+factors in the quotient (lifting the exponent).  The 2-adic case needs care:
+for odd b and even d the quotient absorbs nu_2(d) + nu_2(b**k + 1) - 1 twos,
+one more than nu_2(d) whenever k is odd and b = 3 (mod 4).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from math import gcd
 from .ntcore import (
     MidyError,
     _check_pair,
+    _factor_pairs,
     _nu_int,
     _order_int,
     divisors,
@@ -80,25 +82,36 @@ def _checked_k(n: int, b: int, d: int) -> tuple[int, int]:
     return e, e // d
 
 
-def check_midy(n: int, b: int, d: int) -> MidyVerdict:
-    """Decide membership by sweeping the prime divisors of the modulus.
+def _prime_orders(m: int, b: int, e: int) -> list[tuple[int, int, int]]:
+    """(p, nu_p(m), ord_p(b)) per prime p of m, by descent from e, a multiple of ord_m(b)."""
+    out = []
+    qs = _factor_pairs(e)
+    for p, a in _factor_pairs(m):
+        o = e
+        for q, _ in qs:
+            while o % q == 0 and pow(b, o // q, p) == 1:
+                o //= q
+        out.append((p, a, o))
+    return out
 
-    A prime p of n only matters when its order divides k (tested as
-    b**k = 1 mod p); it kills membership when nu_p(n) exceeds the valuation
-    the block-count quotient can absorb.
-    """
-    _, k = _checked_k(n, b, d)
-    for p, a in factorize(n).factors:
-        if pow(b, k, p) != 1:
+
+def _witness(orders, b: int, k: int, d: int) -> FailureCertificate | None:
+    """The first prime whose order divides k and that the quotient cannot absorb."""
+    for p, a, o in orders:
+        if k % o:
             continue
         allowed = _quotient_valuation(p, b, k, d)
         if a > allowed:
             nu_d = _nu_int(p, d)
-            return MidyVerdict(
-                n, b, d, k, False,
-                FailureCertificate(p, a, nu_d, allowed - nu_d),
-            )
-    return MidyVerdict(n, b, d, k, True)
+            return FailureCertificate(p, a, nu_d, allowed - nu_d)
+    return None
+
+
+def check_midy(n: int, b: int, d: int) -> MidyVerdict:
+    """Decide membership by sweeping the prime divisors of the modulus."""
+    e, k = _checked_k(n, b, d)
+    cert = _witness(_prime_orders(n, b, e), b, k, d)
+    return MidyVerdict(n, b, d, k, cert is None, cert)
 
 
 def check_midy_gcd(n: int, b: int, d: int) -> MidyVerdict:
@@ -117,12 +130,11 @@ def check_midy_gcd(n: int, b: int, d: int) -> MidyVerdict:
     return MidyVerdict(n, b, d, k, True)
 
 
-def midy_set(n: int, b: int, exploit_closure: bool = True) -> MidySet:
-    """Every divisor d >= 2 of the period length that passes check_midy.
+def midy_set(n: int, b: int) -> MidySet:
+    """Every divisor d >= 2 of the period length that passes the membership test.
 
-    Membership is upward closed along the divisor lattice of the period
-    length, so with exploit_closure multiples of accepted members are taken
-    without re-checking.  The degenerate modulus 1 yields the empty set.
+    The order of each prime of n is found once; every divisor is then tested
+    against every prime.  The degenerate modulus 1 yields the empty set.
     """
     if n == 1:
         if b < 2:
@@ -130,16 +142,9 @@ def midy_set(n: int, b: int, exploit_closure: bool = True) -> MidySet:
         return MidySet(modulus=1, base=b, order=1, members=())
     _check_pair(b, n)
     e = _order_int(b, n)
-    members: list[int] = []
-    for d in divisors(e):
-        if d < 2:
-            continue
-        if exploit_closure and any(d % prev == 0 for prev in members):
-            members.append(d)
-            continue
-        if check_midy(n, b, d).member:
-            members.append(d)
-    return MidySet(modulus=n, base=b, order=e, members=tuple(members))
+    orders = _prime_orders(n, b, e)
+    members = tuple(d for d in divisors(e) if d >= 2 and _witness(orders, b, e // d, d) is None)
+    return MidySet(modulus=n, base=b, order=e, members=members)
 
 
 def multiplier(n: int, b: int, d: int) -> int:
@@ -304,7 +309,8 @@ def restrict_set(n1: int, n2: int, b: int) -> RestrictionReport:
         raise MidyError(f"{n1} must divide {n2}")
     e1 = _order_int(b, n1)
     candidates = tuple(d for d in midy_set(n2, b).members if e1 % d == 0)
-    violations = tuple(d for d in candidates if not check_midy(n1, b, d).member)
+    orders = _prime_orders(n1, b, e1)
+    violations = tuple(d for d in candidates if _witness(orders, b, e1 // d, d) is not None)
     return RestrictionReport(
         n1=n1, n2=n2, base=b, candidates=candidates, violations=violations
     )
@@ -328,15 +334,6 @@ def product_set(n: int, m: int, b: int) -> MidySet:
         raise MidyError(
             f"multiplying by {m} changes the period length of {n}; the filter does not apply"
         )
-    mfactors = factorize(m).factors
-    members = []
-    for d in midy_set(n, b).members:
-        k = e // d
-        ok = True
-        for r, a in mfactors:
-            if pow(b, k, r) == 1 and a > _quotient_valuation(r, b, k, d):
-                ok = False
-                break
-        if ok:
-            members.append(d)
-    return MidySet(modulus=m * n, base=b, order=e, members=tuple(members))
+    orders = _prime_orders(m, b, e)
+    members = tuple(d for d in midy_set(n, b).members if _witness(orders, b, e // d, d) is None)
+    return MidySet(modulus=m * n, base=b, order=e, members=members)

@@ -114,7 +114,7 @@ def _pollard_brent(n: int) -> int:
     raise MidyError(f"factor search failed for {n}")  # pragma: no cover
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     counts: dict[int, int] = {}
     for p in _SMALL_PRIMES:
@@ -221,7 +221,7 @@ def _group_exponent(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _order_int(b: int, n: int) -> int:
     # least e >= 1 with b**e = 1 (mod n); caller guarantees gcd(b, n) == 1.
     # Start from the group exponent (a known multiple) and strip primes.

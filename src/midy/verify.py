@@ -221,14 +221,14 @@ def sweep_product(base: int = 10, max_product: int = 2000) -> SweepReport:
 
 
 def sweep_upward_closure(base: int = 10, max_n: int = 500) -> SweepReport:
-    """Upward closure, the top element, and the closure shortcut of midy_set."""
+    """Upward closure, the top element, and midy_set against per-divisor check_midy."""
     t0 = perf_counter()
     report = SweepReport("upward-closure", {"base": base, "max_n": max_n}, 0)
     for n, e, ds in _moduli(base, max_n):
         report.instances += 1
-        fast_path = midy_set(n, base)
-        plain = midy_set(n, base, exploit_closure=False)
-        members = set(fast_path.members)
+        found = midy_set(n, base).members
+        checked = tuple(d for d in ds if check_midy(n, base, d).member)
+        members = set(found)
         closed = all(
             d2 in members
             for d1 in members
@@ -236,8 +236,8 @@ def sweep_upward_closure(base: int = 10, max_n: int = 500) -> SweepReport:
             if d2 % d1 == 0
         )
         top_ok = not members or e in members
-        if fast_path.members != plain.members or not closed or not top_ok:
-            report.failures.append({"n": n, "members": list(fast_path.members)})
+        if found != checked or not closed or not top_ok:
+            report.failures.append({"n": n, "members": list(found)})
     return _finish(report, t0)
 
 

@@ -2,7 +2,9 @@ from math import gcd
 
 import pytest
 
+from midy import analyzer
 from midy.analyzer import (
+    _prime_orders,
     attach_multipliers,
     cardinality_prime_power,
     cardinality_report,
@@ -15,8 +17,8 @@ from midy.analyzer import (
     product_set,
     restrict_set,
 )
-from midy.ntcore import MidyError, divisors, is_prime, multiplicative_order
-from midy.period import blocks, expand
+from midy.ntcore import MidyError, divisors, factorize, is_prime, multiplicative_order
+from midy.period import blocks, expand, oracle_midy_sweep
 
 
 def brute_midy(n, b, d):
@@ -144,12 +146,64 @@ def test_set_examples():
     assert midy_set(1, 10).members == ()
 
 
-def test_set_closure_shortcut_matches_plain():
+def test_set_matches_per_divisor_check():
     for b in (2, 3, 10):
         for n in range(2, 400):
             if gcd(n, b) != 1:
                 continue
-            assert midy_set(n, b).members == midy_set(n, b, exploit_closure=False).members
+            e = multiplicative_order(b, n).order
+            checked = tuple(d for d in divisors(e) if d >= 2 and check_midy(n, b, d).member)
+            assert midy_set(n, b).members == checked, (n, b)
+
+
+def test_prime_orders_match_multiplicative_order():
+    for b in (2, 3, 10):
+        window = [n for n in range(10**9, 10**9 + 400) if gcd(n, b) == 1][:300]
+        for n in [*range(2, 2000), *window]:
+            if gcd(n, b) != 1:
+                continue
+            e = multiplicative_order(b, n).order
+            expected = [(p, a, multiplicative_order(b, p).order) for p, a in factorize(n).factors]
+            assert _prime_orders(n, b, e) == expected, (n, b)
+
+
+def test_order_descent_strips_a_square():
+    # ord_3(10) = 1 sits two steps of 2 below e = ord_303(10) = 4
+    assert _prime_orders(303, 10, 4) == [(3, 1, 1), (101, 1, 4)]
+    assert 4 not in midy_set(303, 10)  # a descent that stopped at ord 2 would admit it
+
+
+def test_set_two_adic_cases():
+    assert midy_set(4, 3).members == (2,)
+    assert midy_set(8, 7).members == (2,)
+    assert midy_set(16, 7).members == ()
+    assert midy_set(28, 3).members == (2, 6)
+
+
+def _oracle_members(n, b):
+    return tuple(d for d, member in sorted(oracle_midy_sweep(n, b).items()) if member)
+
+
+def test_set_against_oracle_sweep():
+    for b in (2, 3, 10):
+        for n in range(2, 400):
+            if gcd(n, b) != 1:
+                continue
+            assert midy_set(n, b).members == _oracle_members(n, b), (n, b)
+    large_bases = {37: (3, 4, 8, 16, 19, 27, 49, 76, 361), 300: (7, 49, 91, 301, 343, 1001)}
+    for b, moduli in large_bases.items():
+        for n in moduli:
+            assert midy_set(n, b).members == _oracle_members(n, b), (n, b)
+
+
+def test_set_does_not_call_check_midy(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("check_midy called")
+
+    monkeypatch.setattr(analyzer, "check_midy", refuse)
+    assert midy_set(1316833, 10).members == (4, 9, 12, 18, 36)
+    assert restrict_set(7, 49, 10).holds
+    assert product_set(188119, 7, 10).members == (4, 9, 12, 18, 36)
 
 
 def test_set_structure_invariants():

@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from midy.ntcore import (
     MidyError,
+    _factor_pairs,
+    _order_int,
     divisors,
     factorize,
     is_prime,
@@ -268,3 +270,8 @@ def test_lifted_order_rejects_bad_args():
         lifted_order(10, 2, 3)
     with pytest.raises(MidyError):
         lifted_order(10, 3, 0)
+
+
+def test_caches_are_bounded():
+    for cached in (_factor_pairs, _order_int):
+        assert cached.cache_info().maxsize is not None
