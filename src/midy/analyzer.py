@@ -14,7 +14,7 @@ one more than nu_2(d) whenever k is odd and b = 3 (mod 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .ntcore import (
@@ -59,7 +59,6 @@ class MidySet:
     base: int
     order: int
     members: tuple[int, ...]
-    multipliers: dict[int, int] = field(default_factory=dict)
 
     def __contains__(self, d: int) -> bool:
         return d in self.members
@@ -165,13 +164,6 @@ def multiplier(n: int, b: int, d: int) -> int:
     return m
 
 
-def attach_multipliers(ms: MidySet) -> MidySet:
-    """Fill the multiplier map of a MidySet in place (and return it)."""
-    for d in ms.members:
-        ms.multipliers.setdefault(d, multiplier(ms.modulus, ms.base, d))
-    return ms
-
-
 # ---------------------------------------------------------------------------
 # coset structure of the powers of b
 
@@ -272,11 +264,6 @@ def cardinality_report(b: int, p: int, n: int) -> CardinalityReport:
     closed = base_count if n <= m else (n - m + 1) * base_count
     actual = len(prime_power_set(b, p, n).members)
     return CardinalityReport(closed_form=closed, actual=actual, disjoint=closed == actual)
-
-
-def cardinality_prime_power(b: int, p: int, n: int) -> int:
-    """Closed-form |Midy set of p**n|; see cardinality_report for the cross-check."""
-    return cardinality_report(b, p, n).closed_form
 
 
 # ---------------------------------------------------------------------------

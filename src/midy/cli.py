@@ -9,6 +9,7 @@ verification, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from functools import cache
@@ -27,20 +28,6 @@ def render_digits(digits, base: int) -> str:
     return ".".join(str(a) for a in digits)
 
 
-def _render_block(value: int, base: int, width: int) -> str:
-    if base > 36:
-        out = []
-        for _ in range(width):
-            value, a = divmod(value, base)
-            out.append(str(a))
-        return ".".join(reversed(out))
-    out = []
-    for _ in range(width):
-        value, a = divmod(value, base)
-        out.append(_ALPHABET[a])
-    return "".join(reversed(out))
-
-
 def _format_set(members) -> str:
     return "{" + ", ".join(str(d) for d in members) + "}"
 
@@ -49,9 +36,9 @@ def _format_set(members) -> str:
 # command handlers: each returns (inputs, result, text_lines, oracle_checked)
 
 def _cmd_order(args):
-    profile = multiplicative_order(args.base, args.n)
+    order = multiplicative_order(args.base, args.n)
     inputs = {"base": args.base, "n": args.n}
-    return inputs, profile.order, [str(profile.order)], False
+    return inputs, order, [str(order)], False
 
 
 def _cmd_period(args):
@@ -64,7 +51,8 @@ def _cmd_period(args):
     lines = [f"0.({rendered})"]
     if args.blocks is not None:
         dec = period.blocks(expansion, args.blocks)
-        shown = [_render_block(v, args.base, dec.k) for v in dec.blocks]
+        digits, k = expansion.digits, dec.k
+        shown = [render_digits(digits[i : i + k], args.base) for i in range(0, len(digits), k)]
         result["blocks"] = shown
         result["block_sum"] = dec.block_sum
         lines.append(f"{' '.join(shown)}, sum {dec.block_sum}")
@@ -80,10 +68,10 @@ def _cmd_set(args):
         f"midy set of {args.n} to base {args.base}: {_format_set(ms.members)}",
     ]
     if args.multipliers:
-        analyzer.attach_multipliers(ms)
-        result["multipliers"] = {str(d): ms.multipliers[d] for d in ms.members}
-        for d in ms.members:
-            lines.append(f"  d={d}: multiplier {ms.multipliers[d]}")
+        multipliers = {d: analyzer.multiplier(args.n, args.base, d) for d in ms.members}
+        result["multipliers"] = {str(d): m for d, m in multipliers.items()}
+        for d, m in multipliers.items():
+            lines.append(f"  d={d}: multiplier {m}")
     oracle_checked = False
     if args.oracle:
         against = period.oracle_midy_sweep(args.n, args.base)
@@ -133,7 +121,6 @@ def _cmd_check(args):
 
 def _cmd_shrink(args):
     result_obj = constructor.shrink(args.n, args.base, oracle_bound=args.oracle_bound)
-    oracle_checked = result_obj.shrunk_modulus <= args.oracle_bound
     result = {
         "z": result_obj.z,
         "shrunk_modulus": result_obj.shrunk_modulus,
@@ -153,11 +140,11 @@ def _cmd_shrink(args):
         aux = f", p={s.p}" if s.p is not None else ""
         lines.append(f"  q={s.q}: branch {s.branch}{aux}, z_i={s.z}")
     if args.minimal:
-        smallest = constructor.minimal_shrink_multiplier(args.n, args.base, cap=args.minimal_cap)
+        smallest = constructor.minimal_shrink_multiplier(result_obj, cap=args.minimal_cap)
         result["minimal_z"] = smallest
         lines.append(f"minimal z (brute force up to the constructed one): {smallest}")
     inputs = {"base": args.base, "n": args.n, "minimal": args.minimal}
-    return inputs, result, lines, oracle_checked
+    return inputs, result, lines, result_obj.oracle_checked
 
 
 def _cmd_vanish(args):
@@ -178,17 +165,12 @@ def _cmd_zsig(args):
 
 def _cmd_verify(args):
     suite = verify.SUITES[args.suite]
-    kwargs = {}
-    if args.suite in _MAX_N_DEFAULTS:  # the suites over moduli n <= max_n
-        kwargs = {"base": args.base, "max_n": args.max_n}
-    elif args.suite in ("prime-power", "order-lift"):
-        # --max-n doubles as the exponent bound here
-        max_exp = args.max_n if args.max_n is not None else args.max_exp
-        kwargs = {"base": args.base, "max_p": args.max_p, "max_exp": max_exp}
-    elif args.suite == "product":
-        kwargs = {"base": args.base, "max_product": args.max_product}
-    elif args.suite == "zsig":
-        kwargs = {"max_base": args.max_base, "max_order": args.max_order}
+    # pass only the flags given that the suite takes; the suite's own defaults fill the rest
+    params = inspect.signature(suite).parameters
+    kwargs = {name: value for name, value in vars(args).items()
+              if name in params and value is not None}
+    if "max_exp" in params and args.max_n is not None:
+        kwargs["max_exp"] = args.max_n  # --max-n doubles as the exponent bound
     report = suite(**kwargs)
     payload = report.to_payload()
     if args.out:
@@ -280,14 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run a property sweep and report pass/fail")
     p.add_argument("suite", choices=sorted(verify.SUITES))
-    p.add_argument("--base", type=int, default=10)
-    p.add_argument("--max-n", type=int, default=None,
-                   help="modulus bound (suite-dependent default)")
-    p.add_argument("--max-p", type=int, default=50)
-    p.add_argument("--max-exp", type=int, default=4)
-    p.add_argument("--max-product", type=int, default=2000)
-    p.add_argument("--max-base", type=int, default=20)
-    p.add_argument("--max-order", type=int, default=12)
+    # each flag defaults to the suite's own keyword default
+    p.add_argument("--base", type=int)
+    p.add_argument("--max-n", type=int,
+                   help="modulus bound; the exponent bound for prime-power and order-lift")
+    p.add_argument("--max-p", type=int)
+    p.add_argument("--max-exp", type=int)
+    p.add_argument("--max-product", type=int)
+    p.add_argument("--max-base", type=int)
+    p.add_argument("--max-order", type=int)
     p.add_argument("--out", default=None, metavar="PATH",
                    help="also write the full JSON report to PATH")
     _add_common(p)
@@ -296,21 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_MAX_N_DEFAULTS = {
-    "oracle-equivalence": 1000,
-    "mode-equivalence": 1000,
-    "coset": 300,
-    "upward-closure": 500,
-    "even-multiplier": 500,
-    "gcd-form": 500,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.max_n is None:
-        args.max_n = _MAX_N_DEFAULTS.get(args.suite)
     t0 = perf_counter()
     try:
         inputs, result, lines, oracle_checked = args.handler(args)

@@ -135,8 +135,7 @@ class ShrinkStep:
     """One per-prime multiplier pinning nu_q of every surviving member to nu_q(e).
 
     p is the auxiliary prime of order q (absent on the q = 2 exceptional
-    branches); c = nu_p(n), s = nu_p(e), m the lifting level of (b, p).  delta
-    and epsilon are diagnostic only: max(0, c-m) and max(0, s-m+1).
+    branches); c = nu_p(n), s = nu_p(e), m the lifting level of (b, p).
     """
 
     q: int
@@ -146,8 +145,6 @@ class ShrinkStep:
     s: int
     m: int | None
     z: int
-    delta: int | None = None
-    epsilon: int | None = None
 
 
 @dataclass(frozen=True)
@@ -157,6 +154,7 @@ class ShrinkResult:
     steps: tuple[ShrinkStep, ...]
     z: int
     final_set: MidySet
+    oracle_checked: bool  # whether the digit oracle re-checked final_set
 
     @property
     def shrunk_modulus(self) -> int:
@@ -197,10 +195,7 @@ def shrink_step(n: int, b: int, q: int) -> ShrinkStep:
             else:
                 branch = BRANCH_C_LT_Q_NOT_DIVIDES
             z = p ** (s - c + 1)
-        step = ShrinkStep(
-            q=q, branch=branch, p=p, c=c, s=s, m=m, z=z,
-            delta=max(0, c - m), epsilon=max(0, s - m + 1),
-        )
+        step = ShrinkStep(q=q, branch=branch, p=p, c=c, s=s, m=m, z=z)
     else:
         c = _nu_int(2, n)
         s = _nu_int(2, e)
@@ -239,7 +234,8 @@ def shrink(n: int, b: int, *, oracle_bound: int = 1_000_000) -> ShrinkResult:
     z*n stays within oracle_bound, re-checked against the digit oracle.  That
     re-check costs about phi(z*n) long-division steps, one digit per unit
     numerator, plus one block-sum update per numerator for each divisor not yet
-    refuted.  A set that is already the singleton returns z = 1 untouched.
+    refuted.  A set that is already the singleton returns z = 1 untouched,
+    with no re-check.
     """
     _check_pair(b, n)
     start = midy_set(n, b)
@@ -249,7 +245,9 @@ def shrink(n: int, b: int, *, oracle_bound: int = 1_000_000) -> ShrinkResult:
         )
     e = start.order
     if start.members == (e,):
-        return ShrinkResult(modulus=n, base=b, steps=(), z=1, final_set=start)
+        return ShrinkResult(
+            modulus=n, base=b, steps=(), z=1, final_set=start, oracle_checked=False
+        )
     steps = []
     current = n
     for q, _ in factorize(e).factors:
@@ -259,23 +257,24 @@ def shrink(n: int, b: int, *, oracle_bound: int = 1_000_000) -> ShrinkResult:
     final = midy_set(current, b)
     if final.members != (e,):
         raise MidyError("shrink did not collapse the set to the singleton; construction bug")
-    if current <= oracle_bound:
+    oracle_checked = current <= oracle_bound
+    if oracle_checked:
         against = oracle_midy_sweep(current, b)
         if any(flag != (d == e) for d, flag in against.items()):
             raise MidyError("digit oracle disagrees with the fast test on the shrunk modulus")
-    z = 1
-    for step in steps:
-        z *= step.z
-    return ShrinkResult(modulus=n, base=b, steps=tuple(steps), z=z, final_set=final)
+    return ShrinkResult(
+        modulus=n, base=b, steps=tuple(steps), z=current // n, final_set=final,
+        oracle_checked=oracle_checked,
+    )
 
 
-def minimal_shrink_multiplier(n: int, b: int, *, cap: int = 200_000) -> int:
-    """Brute-force the smallest z collapsing the set, bounded by the constructed one.
+def minimal_shrink_multiplier(built: ShrinkResult, *, cap: int = 200_000) -> int:
+    """Brute-force the smallest z collapsing the set, bounded by the one ``shrink`` built.
 
     The construction makes no minimality promise; this sweep is for small
     inputs only and refuses to run when the constructed z exceeds ``cap``.
     """
-    built = shrink(n, b)
+    n, b = built.modulus, built.base
     e = built.final_set.order
     if built.z > cap:
         raise MidyError(f"constructed multiplier {built.z} exceeds the sweep cap {cap}")

@@ -143,15 +143,6 @@ class Factorization:
     value: int
     factors: tuple[tuple[int, int], ...]
 
-    def nu(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
     def divisors(self) -> tuple[int, ...]:
         out = [1]
         for p, e in self.factors:
@@ -192,15 +183,6 @@ def nu(p: int, n: int) -> int:
     return _nu_int(p, n)
 
 
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp reduced into [0, modulus), by square-and-multiply."""
-    if modulus < 2:
-        raise MidyError(f"modulus must be >= 2, got {modulus}")
-    if exp < 0:
-        raise MidyError(f"exponent must be >= 0, got {exp}")
-    return pow(base, exp, modulus)
-
-
 # ---------------------------------------------------------------------------
 # multiplicative order and its lifting to prime powers
 
@@ -234,15 +216,6 @@ def _order_int(b: int, n: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class OrderProfile:
-    """The least exponent sending base to 1 in the units modulo modulus."""
-
-    base: int
-    modulus: int
-    order: int
-
-
 def _check_pair(b: int, n: int) -> None:
     if b < 2:
         raise MidyError(f"base must be >= 2, got {b}")
@@ -252,10 +225,10 @@ def _check_pair(b: int, n: int) -> None:
         raise MidyError(f"base {b} and modulus {n} are not coprime")
 
 
-def multiplicative_order(b: int, n: int) -> OrderProfile:
+def multiplicative_order(b: int, n: int) -> int:
     """Least e with b**e = 1 (mod n), via group-exponent divisor descent."""
     _check_pair(b, n)
-    return OrderProfile(base=b, modulus=n, order=_order_int(b, n))
+    return _order_int(b, n)
 
 
 def _check_odd_prime(b: int, p: int) -> None:

@@ -1,7 +1,9 @@
-"""Bulk property sweeps behind the CLI ``verify`` command and the acceptance suite.
+"""Bulk property sweeps behind the CLI ``verify`` command and the test suites.
 
 Each sweep replays one of the library's structural guarantees over a range of
-inputs and reports every counterexample instead of stopping at the first.
+inputs and reports every counterexample instead of stopping at the first.  It
+is the one implementation of its property: the unit tests call it at their own
+bases and bounds, and its keyword defaults are the CLI's defaults.
 """
 
 from __future__ import annotations
@@ -92,30 +94,31 @@ def oracle_records(base: int, max_n: int):
             }
 
 
-def sweep_oracle_equivalence(base: int = 10, max_n: int = 1000) -> SweepReport:
-    """Fast membership test against the all-x digit oracle."""
+def _compare_records(suite: str, base: int, max_n: int, left: str, right: str) -> SweepReport:
     t0 = perf_counter()
-    report = SweepReport("oracle-equivalence", {"base": base, "max_n": max_n}, 0)
+    report = SweepReport(suite, {"base": base, "max_n": max_n}, 0)
     for rec in oracle_records(base, max_n):
         report.instances += 1
-        if rec["theorem"] != rec["all_x"]:
+        if rec[left] != rec[right]:
             report.failures.append(rec)
     return _finish(report, t0)
+
+
+def sweep_oracle_equivalence(base: int = 10, max_n: int = 1000) -> SweepReport:
+    """Fast membership test against the all-x digit oracle."""
+    return _compare_records("oracle-equivalence", base, max_n, "theorem", "all_x")
 
 
 def sweep_mode_equivalence(base: int = 10, max_n: int = 1000) -> SweepReport:
     """All-x oracle against the x=1 oracle."""
-    t0 = perf_counter()
-    report = SweepReport("mode-equivalence", {"base": base, "max_n": max_n}, 0)
-    for rec in oracle_records(base, max_n):
-        report.instances += 1
-        if rec["all_x"] != rec["x_equals_1"]:
-            report.failures.append(rec)
-    return _finish(report, t0)
+    return _compare_records("mode-equivalence", base, max_n, "all_x", "x_equals_1")
 
 
 def sweep_coset(base: int = 10, max_n: int = 300) -> SweepReport:
-    """Coset translates union back to the subgroup for every valid (k1, k2)."""
+    """Coset translates union back to the subgroup for every valid (k1, k2).
+
+    Each decomposition must also hold c = d2 // d1 translates.
+    """
     t0 = perf_counter()
     report = SweepReport("coset", {"base": base, "max_n": max_n}, 0)
     for n in range(2, max_n + 1):
@@ -132,11 +135,12 @@ def sweep_coset(base: int = 10, max_n: int = 300) -> SweepReport:
                 subgroup.add(cur)
                 cur = cur * step % n
             for k1 in ks:
-                if (e // k2) % (e // k1):
+                d1 = e // k1
+                if d2 % d1:
                     continue
                 report.instances += 1
                 dec = coset_decompose(n, base, k1, k2)
-                if dec.union() != subgroup:
+                if dec.union() != subgroup or not len(dec.cosets) == dec.c == d2 // d1:
                     report.failures.append({"n": n, "k1": k1, "k2": k2})
     return _finish(report, t0)
 
@@ -186,7 +190,7 @@ def sweep_order_lift(base: int = 10, max_p: int = 50, max_exp: int = 4) -> Sweep
         for t in range(1, max_exp + 1):
             report.instances += 1
             lifted = lifted_order(base, p, t)
-            direct = multiplicative_order(base, p**t).order
+            direct = multiplicative_order(base, p**t)
             if lifted != direct:
                 report.failures.append({"p": p, "t": t, "lifted": lifted, "direct": direct})
     return _finish(report, t0)
@@ -221,12 +225,16 @@ def sweep_product(base: int = 10, max_product: int = 2000) -> SweepReport:
 
 
 def sweep_upward_closure(base: int = 10, max_n: int = 500) -> SweepReport:
-    """Upward closure, the top element, and midy_set against per-divisor check_midy."""
+    """Upward closure, the top element, and midy_set against per-divisor check_midy.
+
+    The set must also carry the period length e as its order.
+    """
     t0 = perf_counter()
     report = SweepReport("upward-closure", {"base": base, "max_n": max_n}, 0)
     for n, e, ds in _moduli(base, max_n):
         report.instances += 1
-        found = midy_set(n, base).members
+        ms = midy_set(n, base)
+        found = ms.members
         checked = tuple(d for d in ds if check_midy(n, base, d).member)
         members = set(found)
         closed = all(
@@ -236,7 +244,7 @@ def sweep_upward_closure(base: int = 10, max_n: int = 500) -> SweepReport:
             if d2 % d1 == 0
         )
         top_ok = not members or e in members
-        if found != checked or not closed or not top_ok:
+        if found != checked or ms.order != e or not closed or not top_ok:
             report.failures.append({"n": n, "members": list(found)})
     return _finish(report, t0)
 

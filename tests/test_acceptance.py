@@ -67,7 +67,7 @@ def test_criterion_02_three_prime_product():
     t0 = perf_counter()
     n = 7 * 19 * 9901
     assert n == 1316833
-    assert multiplicative_order(10, n).order == 36
+    assert multiplicative_order(10, n) == 36
     for d in (2, 3, 6):
         assert not check_midy(n, 10, d).member
     for d in (4, 9, 12, 18, 36):
@@ -127,13 +127,13 @@ def test_criterion_07_order_lifting():
         if p in (2, 5):
             continue
         for t in range(1, 5):
-            assert lifted_order(10, p, t) == multiplicative_order(10, p**t).order
+            assert lifted_order(10, p, t) == multiplicative_order(10, p**t)
             checked += 1
     assert wieferich_level(68, 113) == 3
     assert wieferich_level(42, 23) == 3
     for b, p in ((68, 113), (42, 23)):
         for t in range(1, 5):
-            assert lifted_order(b, p, t) == multiplicative_order(b, p**t).order
+            assert lifted_order(b, p, t) == multiplicative_order(b, p**t)
             checked += 1
     _pass(7, f"{checked} lifting cases agree with direct orders; "
              f"levels of (68, 113) and (42, 23) are 3")
@@ -144,7 +144,7 @@ def test_criterion_08_shrink():
     details = []
     for n in (13, 49, 91, 1316833):
         res = shrink(n, 10, oracle_bound=10**6)
-        e = multiplicative_order(10, n).order
+        e = multiplicative_order(10, n)
         assert res.final_set.members == (e,), n
         assert midy_set(res.shrunk_modulus, 10).members == (e,)
         oracle_checked = res.shrunk_modulus <= 10**6

@@ -5,11 +5,8 @@ import pytest
 from midy import analyzer
 from midy.analyzer import (
     _prime_orders,
-    attach_multipliers,
-    cardinality_prime_power,
     cardinality_report,
     check_midy,
-    check_midy_gcd,
     coset_decompose,
     midy_set,
     multiplier,
@@ -19,11 +16,19 @@ from midy.analyzer import (
 )
 from midy.ntcore import MidyError, divisors, factorize, is_prime, multiplicative_order
 from midy.period import blocks, expand, oracle_midy_sweep
+from midy.verify import (
+    sweep_coset,
+    sweep_even_multiplier,
+    sweep_gcd_form,
+    sweep_prime_power,
+    sweep_product,
+    sweep_upward_closure,
+)
 
 
 def brute_midy(n, b, d):
     """Literal all-numerators digit check, independent of the package oracle."""
-    e = multiplicative_order(b, n).order
+    e = multiplicative_order(b, n)
     assert d >= 2 and e % d == 0
     k = e // d
     for x in range(1, n):
@@ -36,7 +41,7 @@ def brute_midy(n, b, d):
 
 
 def brute_set(n, b):
-    e = multiplicative_order(b, n).order
+    e = multiplicative_order(b, n)
     return tuple(d for d in divisors(e) if d >= 2 and brute_midy(n, b, d))
 
 
@@ -81,7 +86,7 @@ def test_check_against_digit_oracle():
         for n in range(2, 260):
             if gcd(n, b) != 1:
                 continue
-            e = multiplicative_order(b, n).order
+            e = multiplicative_order(b, n)
             for d in divisors(e):
                 if d < 2:
                     continue
@@ -93,7 +98,7 @@ def test_certificate_soundness():
         for n in range(2, 300):
             if gcd(n, b) != 1:
                 continue
-            e = multiplicative_order(b, n).order
+            e = multiplicative_order(b, n)
             for d in divisors(e):
                 if d < 2:
                     continue
@@ -125,14 +130,8 @@ def test_certificate_soundness():
 
 def test_gcd_form_agrees():
     for b in (2, 3, 10):
-        for n in range(2, 300):
-            if gcd(n, b) != 1:
-                continue
-            e = multiplicative_order(b, n).order
-            for d in divisors(e):
-                if d < 2:
-                    continue
-                assert check_midy(n, b, d).member == check_midy_gcd(n, b, d).member
+        report = sweep_gcd_form(b, 299)
+        assert report.passed, report.failures[:5]
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +147,8 @@ def test_set_examples():
 
 def test_set_matches_per_divisor_check():
     for b in (2, 3, 10):
-        for n in range(2, 400):
-            if gcd(n, b) != 1:
-                continue
-            e = multiplicative_order(b, n).order
-            checked = tuple(d for d in divisors(e) if d >= 2 and check_midy(n, b, d).member)
-            assert midy_set(n, b).members == checked, (n, b)
+        report = sweep_upward_closure(b, 399)
+        assert report.passed, report.failures[:5]
 
 
 def test_prime_orders_match_multiplicative_order():
@@ -162,8 +157,8 @@ def test_prime_orders_match_multiplicative_order():
         for n in [*range(2, 2000), *window]:
             if gcd(n, b) != 1:
                 continue
-            e = multiplicative_order(b, n).order
-            expected = [(p, a, multiplicative_order(b, p).order) for p, a in factorize(n).factors]
+            e = multiplicative_order(b, n)
+            expected = [(p, a, multiplicative_order(b, p)) for p, a in factorize(n).factors]
             assert _prime_orders(n, b, e) == expected, (n, b)
 
 
@@ -207,22 +202,10 @@ def test_set_does_not_call_check_midy(monkeypatch):
 
 
 def test_set_structure_invariants():
+    # the order, upward closure and the top element
     for b in (2, 3, 10):
-        for n in range(2, 400):
-            if gcd(n, b) != 1:
-                continue
-            ms = midy_set(n, b)
-            assert ms.order == multiplicative_order(b, n).order
-            members = set(ms.members)
-            for d in ms.members:
-                assert d >= 2 and ms.order % d == 0
-            # upward closure and the top element
-            for d1 in members:
-                for d2 in divisors(ms.order):
-                    if d2 >= 2 and d2 % d1 == 0:
-                        assert d2 in members
-            if members:
-                assert ms.order in members
+        report = sweep_upward_closure(b, 399)
+        assert report.passed, report.failures[:5]
 
 
 def test_set_against_brute_force():
@@ -253,28 +236,20 @@ def test_multiplier_rejects_non_members():
 def test_multiplier_even_d_rule():
     # with 2 a member, every even divisor d gets multiplier d/2
     for b in (2, 3, 10):
-        for n in range(3, 300):
-            if gcd(n, b) != 1:
-                continue
-            e = multiplicative_order(b, n).order
-            if e % 2 or not check_midy(n, b, 2).member:
-                continue
-            for d in divisors(e):
-                if d >= 2 and d % 2 == 0:
-                    assert multiplier(n, b, d) == d // 2
+        report = sweep_even_multiplier(b, 299)
+        assert report.passed, report.failures[:5]
 
 
 def test_multiplier_against_block_sums():
     # for x = 1 the block sum equals multiplier * (b**k - 1)
     for n, b, d in ((13, 10, 3), (49, 10, 14), (13, 10, 2), (28, 3, 2)):
-        k = multiplicative_order(b, n).order // d
+        k = multiplicative_order(b, n) // d
         assert blocks(expand(1, n, b), d).block_sum == multiplier(n, b, d) * (b**k - 1)
 
 
-def test_attach_multipliers():
-    ms = attach_multipliers(midy_set(49, 10))
-    assert ms.multipliers[14] == 7
-    assert set(ms.multipliers) == set(ms.members)
+def test_multiplier_of_every_member():
+    multipliers = {d: multiplier(49, 10, d) for d in midy_set(49, 10).members}
+    assert multipliers == {2: 1, 3: 1, 6: 3, 14: 7, 21: 10, 42: 21}
 
 
 def test_theorem_d_second_clause():
@@ -285,7 +260,7 @@ def test_theorem_d_second_clause():
         for n in range(2, 200):
             if gcd(n, b) != 1:
                 continue
-            e = multiplicative_order(b, n).order
+            e = multiplicative_order(b, n)
             big = period_integer(n, b)
             for d in midy_set(n, b).members:
                 k = e // d
@@ -323,19 +298,8 @@ def test_coset_rejects_bad_pairs():
 
 def test_coset_union_sweep():
     for b in (2, 10):
-        for n in range(2, 300):
-            if gcd(n, b) != 1:
-                continue
-            e = multiplicative_order(b, n).order
-            ks = divisors(e)
-            for k2 in ks:
-                subgroup = {pow(b, k2 * j, n) for j in range(e // k2)}
-                for k1 in ks:
-                    if (e // k2) % (e // k1):
-                        continue
-                    dec = coset_decompose(n, b, k1, k2)
-                    assert dec.union() == subgroup
-                    assert len(dec.cosets) == dec.c == (e // k2) // (e // k1)
+        report = sweep_coset(b, 299)
+        assert report.passed, report.failures[:5]
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +309,7 @@ def test_prime_power_examples():
     assert prime_power_set(10, 7, 2).members == (2, 3, 6, 14, 21, 42)
     assert prime_power_set(10, 3, 2).members == ()
     base_487 = prime_power_set(10, 487, 1)
-    expected = tuple(d for d in divisors(multiplicative_order(10, 487).order) if d >= 2)
+    expected = tuple(d for d in divisors(multiplicative_order(10, 487)) if d >= 2)
     assert base_487.members == expected
 
 
@@ -359,36 +323,21 @@ def test_prime_power_rejects_bad_args():
 
 
 def test_prime_power_matches_direct_enumeration():
-    from midy.ntcore import primes_upto
-
     for b in (3, 10):
-        for p in primes_upto(50):
-            if p == 2 or b % p == 0:
-                continue
-            for n in range(1, 5):
-                closed = prime_power_set(b, p, n)
-                direct = midy_set(p**n, b)
-                assert closed.members == direct.members, (b, p, n)
-                assert closed.order == direct.order
+        report = sweep_prime_power(b, 50, 4)
+        assert report.passed, report.failures[:5]
 
 
 def test_cardinality_examples():
-    assert cardinality_prime_power(10, 7, 2) == 6
-    assert cardinality_prime_power(10, 7, 1) == 3
+    assert cardinality_report(10, 7, 2).closed_form == 6
+    assert cardinality_report(10, 7, 1).closed_form == 3
     for n in range(1, 5):
-        assert cardinality_prime_power(10, 3, n) == 0
+        assert cardinality_report(10, 3, n).closed_form == 0
 
 
 def test_cardinality_report_disjoint():
-    from midy.ntcore import primes_upto
-
-    for p in primes_upto(50):
-        if p in (2, 5):
-            continue
-        for n in range(1, 5):
-            rep = cardinality_report(10, p, n)
-            assert rep.disjoint
-            assert rep.closed_form == rep.actual == len(prime_power_set(10, p, n).members)
+    report = sweep_prime_power(10, 50, 4)
+    assert report.passed, report.failures[:5]
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +390,5 @@ def test_product_two_adic_case():
 
 def test_product_matches_direct_enumeration():
     for b in (3, 10):
-        for n in range(2, 2001):
-            if gcd(n, b) != 1:
-                continue
-            e = multiplicative_order(b, n).order
-            for m in range(1, 2000 // n + 1):
-                if gcd(m, n) != 1 or gcd(m, b) != 1:
-                    continue
-                if multiplicative_order(b, m * n).order != e:
-                    continue
-                assert product_set(n, m, b).members == midy_set(m * n, b).members, (n, m, b)
+        report = sweep_product(b, 2000)
+        assert report.passed, report.failures[:5]

@@ -1,7 +1,10 @@
+import functools
+import inspect
 import json
 
 import pytest
 
+from midy import constructor, verify
 from midy.cli import build_parser, main, render_digits
 
 
@@ -143,6 +146,39 @@ def test_shrink_minimal_flag(capsys):
     assert doc["result"]["minimal_z"] == 33
 
 
+def test_shrink_reports_whether_the_oracle_ran(capsys, monkeypatch):
+    calls = []
+    sweep = constructor.oracle_midy_sweep
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(constructor, "oracle_midy_sweep", counted)
+    # M_10(5291) = {6} already: shrink returns before the re-check
+    code, doc = run_json(capsys, ["shrink", "--base", "10", "5291"])
+    assert (code, doc["result"]["z"]) == (0, 1)
+    assert (doc["oracle_checked"], calls) == (False, [])
+    code, doc = run_json(capsys, ["shrink", "--base", "10", "13"])
+    assert (code, doc["result"]["z"]) == (0, 407)
+    assert (doc["oracle_checked"], calls) == (True, [(5291, 10)])
+
+
+def test_shrink_minimal_reuses_the_built_shrink(capsys, monkeypatch):
+    # z*n = 701097 is above --oracle-bound 10: no oracle run at all, not even
+    # from a second shrink with the default bound
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle_midy_sweep called")
+
+    monkeypatch.setattr(constructor, "oracle_midy_sweep", refuse)
+    code, doc = run_json(
+        capsys, ["shrink", "--base", "2", "1003", "--oracle-bound", "10", "--minimal"]
+    )
+    assert code == 0
+    assert doc["oracle_checked"] is False
+    assert doc["result"]["z"] == doc["result"]["minimal_z"] == 699
+
+
 def test_vanish_command(capsys):
     assert main(["vanish", "--base", "10", "13", "3"]) == 0
     assert capsys.readouterr().out.strip() == "1"
@@ -188,6 +224,43 @@ def test_verify_prime_power_max_n_means_exponent(capsys):
     assert code == 0
     assert doc["result"]["params"]["max_exp"] == 3
     assert doc["result"]["passed"] is True
+
+
+def _record_suite_calls(monkeypatch):
+    calls = {}
+    for name, suite in verify.SUITES.items():
+        def stub(*, _name=name, **kwargs):
+            calls[_name] = kwargs
+            return verify.SweepReport(_name, kwargs, 0)
+
+        monkeypatch.setitem(verify.SUITES, name, functools.wraps(suite)(stub))
+    return calls
+
+
+def test_verify_bounds_come_from_the_suites(capsys, monkeypatch):
+    calls = _record_suite_calls(monkeypatch)
+    for name in verify.SUITES:
+        assert main(["verify", name]) == 0
+        assert calls[name] == {}, name
+        params = inspect.signature(verify.SUITES[name]).parameters
+        assert main(["verify", name, "--max-n", "7"]) == 0
+        if "max_n" in params:
+            assert calls[name] == {"max_n": 7}, name
+        elif name in ("prime-power", "order-lift"):
+            assert calls[name] == {"max_exp": 7}, name
+        else:
+            assert calls[name] == {}, name
+    capsys.readouterr()
+
+
+def test_verify_flags_are_suite_parameters():
+    args = vars(build_parser().parse_args(["verify", "coset"]))
+    bounds = {name for name, value in args.items() if value is None and name != "out"}
+    taken = set()
+    for suite in verify.SUITES.values():
+        taken.update(inspect.signature(suite).parameters)
+    assert bounds == {"base", "max_n", "max_p", "max_exp", "max_product", "max_base", "max_order"}
+    assert bounds <= taken
 
 
 def test_text_and_json_values_agree(capsys):

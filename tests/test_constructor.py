@@ -35,7 +35,7 @@ def test_primitive_prime_exceptional_pairs():
 def test_primitive_prime_smallest():
     # smallest prime with order 6 to base 10: 7 (10**6 = 1 mod 7, no smaller exponent)
     assert primitive_prime(10, 6) == 7
-    assert multiplicative_order(10, 7).order == 6
+    assert multiplicative_order(10, 7) == 6
     assert primitive_prime(10, 2) == 11
     assert primitive_prime(10, 3) == 37
     assert primitive_prime(10, 7) == 239
@@ -61,7 +61,7 @@ def test_primitive_prime_beyond_scan_bound():
     # smallest prime of order 11 over base 5 sits beyond the default scan bound
     p = primitive_prime(5, 11)
     assert p == 12207031
-    assert multiplicative_order(5, p).order == 11
+    assert multiplicative_order(5, p) == 11
 
 
 def test_primitive_prime_prime_cyclotomic_value_returned_directly(monkeypatch):
@@ -89,12 +89,12 @@ def test_primitive_prime_against_scan_oracle():
                 assert got is None, (b, n)
                 continue
             assert got is not None
-            assert multiplicative_order(b, got).order == n
+            assert multiplicative_order(b, got) == n
             smallest = None
             for p in primes:
                 if p % n != 1 or b % p == 0:
                     continue
-                if multiplicative_order(b, p).order == n:
+                if multiplicative_order(b, p) == n:
                     smallest = p
                     break
             if smallest is not None:
@@ -115,9 +115,9 @@ def test_primitive_prime_cyclotomic_method_agrees():
 # shrink steps
 
 def step_properties_hold(n, b, q, step):
-    e = multiplicative_order(b, n).order
+    e = multiplicative_order(b, n)
     zn = step.z * n
-    assert multiplicative_order(b, zn).order == e
+    assert multiplicative_order(b, zn) == e
     grown = midy_set(zn, b)
     assert grown.members
     pin = nu(q, e)
@@ -206,6 +206,7 @@ def test_shrink_examples():
 def test_shrink_singleton_short_circuit():
     res = shrink(5291, 10)
     assert res.z == 1 and res.steps == ()
+    assert not res.oracle_checked  # returned before any re-check
     res8 = shrink(8, 7)
     assert res8.z == 1  # M_7(8) = {2} is already the singleton {e}
 
@@ -276,24 +277,25 @@ def test_shrink_oracle_recheck_of_large_product():
     assert res.z == 699
     assert res.shrunk_modulus == 701097 <= 10**6
     assert res.final_set.members == (232,)
+    assert res.oracle_checked
 
 
 def test_minimal_shrink_multiplier():
-    smallest = minimal_shrink_multiplier(13, 10)
+    smallest = minimal_shrink_multiplier(shrink(13, 10))
     assert smallest == 33
     assert midy_set(33 * 13, 10).members == (6,)
     # brute-force confirmation below the found value
     for cand in range(1, smallest):
         if gcd(cand, 10) != 1:
             continue
-        if multiplicative_order(10, cand * 13).order != 6:
+        if multiplicative_order(10, cand * 13) != 6:
             continue
         assert midy_set(cand * 13, 10).members != (6,)
 
 
 def test_minimal_shrink_cap():
     with pytest.raises(MidyError):
-        minimal_shrink_multiplier(49, 10, cap=10)
+        minimal_shrink_multiplier(shrink(49, 10), cap=10)
 
 
 # ---------------------------------------------------------------------------

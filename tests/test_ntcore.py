@@ -10,12 +10,12 @@ from midy.ntcore import (
     factorize,
     is_prime,
     lifted_order,
-    mod_pow,
     multiplicative_order,
     nu,
     primes_upto,
     wieferich_level,
 )
+from midy.verify import sweep_order_lift
 
 
 def brute_order(b, n):
@@ -153,32 +153,12 @@ def test_nu_against_division_oracle():
 
 
 # ---------------------------------------------------------------------------
-# mod_pow
-
-def test_mod_pow_examples():
-    assert mod_pow(10, 6, 13) == 1
-    assert mod_pow(7, 0, 11) == 1
-    # repeated multiplication oracle
-    acc = 1
-    for _ in range(3):
-        acc = acc * 10 % 13
-    assert mod_pow(10, 3, 13) == acc == 12
-
-
-def test_mod_pow_rejects_bad_args():
-    with pytest.raises(MidyError):
-        mod_pow(10, 3, 1)
-    with pytest.raises(MidyError):
-        mod_pow(10, -1, 13)
-
-
-# ---------------------------------------------------------------------------
 # multiplicative order
 
 def test_order_examples():
-    assert multiplicative_order(10, 13).order == 6
-    assert multiplicative_order(10, 49).order == 42
-    assert multiplicative_order(10, 1316833).order == 36
+    assert multiplicative_order(10, 13) == 6
+    assert multiplicative_order(10, 49) == 42
+    assert multiplicative_order(10, 1316833) == 36
 
 
 def test_order_rejects_shared_factor():
@@ -194,7 +174,7 @@ def test_order_matches_brute_force():
     for b in range(2, 13):
         for n in range(2, 250):
             if gcd(b, n) == 1:
-                assert multiplicative_order(b, n).order == brute_order(b, n)
+                assert multiplicative_order(b, n) == brute_order(b, n)
 
 
 def test_order_minimality_sweep():
@@ -205,7 +185,7 @@ def test_order_minimality_sweep():
         for n in range(2, 2001):
             if gcd(b, n) != 1:
                 continue
-            e = multiplicative_order(b, n).order
+            e = multiplicative_order(b, n)
             assert pow(b, e, n) == 1
             for q, _ in factorize(e).factors:
                 assert pow(b, e // q, n) != 1
@@ -250,19 +230,16 @@ def test_wieferich_mostly_one():
 
 
 def test_lifted_order_examples():
-    assert lifted_order(68, 113, 3) == multiplicative_order(68, 113).order
-    assert lifted_order(42, 23, 3) == multiplicative_order(42, 23).order
+    assert lifted_order(68, 113, 3) == multiplicative_order(68, 113)
+    assert lifted_order(42, 23, 3) == multiplicative_order(42, 23)
     assert lifted_order(10, 3, 1) == 1
     assert lifted_order(10, 3, 5) == 27
 
 
 def test_lifted_order_matches_direct():
     for b in (2, 10):
-        for p in primes_upto(500):
-            if p == 2 or b % p == 0:
-                continue
-            for t in range(1, 5):
-                assert lifted_order(b, p, t) == multiplicative_order(b, p**t).order
+        report = sweep_order_lift(b, 500, 4)
+        assert report.passed, report.failures[:5]
 
 
 def test_lifted_order_rejects_bad_args():
