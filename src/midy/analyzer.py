@@ -18,8 +18,10 @@ from dataclasses import dataclass
 from math import gcd
 
 from .ntcore import (
+    Factorization,
     MidyError,
     _check_pair,
+    _descend,
     _factor_pairs,
     _nu_int,
     _order_int,
@@ -81,17 +83,18 @@ def _checked_k(n: int, b: int, d: int) -> tuple[int, int]:
     return e, e // d
 
 
-def _prime_orders(m: int, b: int, e: int) -> list[tuple[int, int, int]]:
-    """(p, nu_p(m), ord_p(b)) per prime p of m, by descent from e, a multiple of ord_m(b)."""
-    out = []
-    qs = _factor_pairs(e)
-    for p, a in _factor_pairs(m):
-        o = e
-        for q, _ in qs:
-            while o % q == 0 and pow(b, o // q, p) == 1:
-                o //= q
-        out.append((p, a, o))
-    return out
+def _prime_orders(
+    m: int, b: int, e: int, pairs=None, e_pairs=None
+) -> list[tuple[int, int, int]]:
+    """(p, nu_p(m), ord_p(b)) per prime p of m, by descent from e, a multiple of ord_m(b).
+
+    ``pairs`` and ``e_pairs`` are the factor pairs of m and e when already known.
+    """
+    if pairs is None:
+        pairs = _factor_pairs(m)
+    if e_pairs is None:
+        e_pairs = _factor_pairs(e)
+    return [(p, a, _descend(b, p, e, e_pairs)) for p, a in pairs]
 
 
 def _witness(orders, b: int, k: int, d: int) -> FailureCertificate | None:
@@ -141,8 +144,16 @@ def midy_set(n: int, b: int) -> MidySet:
         return MidySet(modulus=1, base=b, order=1, members=())
     _check_pair(b, n)
     e = _order_int(b, n)
-    orders = _prime_orders(n, b, e)
-    members = tuple(d for d in divisors(e) if d >= 2 and _witness(orders, b, e // d, d) is None)
+    return _known_set(n, _factor_pairs(n), b, e, _factor_pairs(e))
+
+
+def _known_set(n: int, pairs, b: int, e: int, e_pairs) -> MidySet:
+    """midy_set of n given its factor pairs, its period length e and e's pairs."""
+    orders = _prime_orders(n, b, e, pairs, e_pairs)
+    members = tuple(
+        d for d in Factorization(e, e_pairs).divisors()
+        if d >= 2 and _witness(orders, b, e // d, d) is None
+    )
     return MidySet(modulus=n, base=b, order=e, members=members)
 
 

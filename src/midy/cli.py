@@ -163,14 +163,28 @@ def _cmd_zsig(args):
     return inputs, result, lines, False
 
 
+_BOUND_FLAGS = ("base", "max_n", "max_p", "max_exp", "max_product", "max_base", "max_order")
+_MAX_N_HELP = "modulus bound; the exponent bound for prime-power and order-lift"
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _cmd_verify(args):
     suite = verify.SUITES[args.suite]
-    # pass only the flags given that the suite takes; the suite's own defaults fill the rest
+    # pass the bound flags given; the suite's own defaults fill the rest
     params = inspect.signature(suite).parameters
-    kwargs = {name: value for name, value in vars(args).items()
-              if name in params and value is not None}
-    if "max_exp" in params and args.max_n is not None:
-        kwargs["max_exp"] = args.max_n  # --max-n doubles as the exponent bound
+    kwargs = {}
+    for name in _BOUND_FLAGS:
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if name == "max_n" and "max_exp" in params:
+            name = "max_exp"  # --max-n doubles as the exponent bound
+        if name not in params:
+            args.usage_error(f"{_flag(name)} does not apply to suite {args.suite}")
+        kwargs.setdefault(name, value)  # --max-n, met first, wins over --max-exp
     report = suite(**kwargs)
     payload = report.to_payload()
     if args.out:
@@ -262,19 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run a property sweep and report pass/fail")
     p.add_argument("suite", choices=sorted(verify.SUITES))
-    # each flag defaults to the suite's own keyword default
-    p.add_argument("--base", type=int)
-    p.add_argument("--max-n", type=int,
-                   help="modulus bound; the exponent bound for prime-power and order-lift")
-    p.add_argument("--max-p", type=int)
-    p.add_argument("--max-exp", type=int)
-    p.add_argument("--max-product", type=int)
-    p.add_argument("--max-base", type=int)
-    p.add_argument("--max-order", type=int)
+    # each flag defaults to the suite's own keyword default; a flag the chosen
+    # suite does not take is a usage error
+    for name in _BOUND_FLAGS:
+        p.add_argument(_flag(name), type=int, help=_MAX_N_HELP if name == "max_n" else None)
     p.add_argument("--out", default=None, metavar="PATH",
                    help="also write the full JSON report to PATH")
     _add_common(p)
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler=_cmd_verify, usage_error=p.error)
 
     return parser
 

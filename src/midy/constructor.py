@@ -11,16 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .analyzer import MidySet, midy_set
+from .analyzer import MidySet, _known_set, midy_set
 from .ntcore import (
     MidyError,
     _check_pair,
+    _descend,
+    _factor_pairs,
+    _lifting_level,
     _nu_int,
     _order_int,
     divisors,
     factorize,
     is_prime,
-    wieferich_level,
 )
 from .period import oracle_midy_sweep
 
@@ -47,14 +49,16 @@ def primitive_prime(
 
     The exceptional pairs are n = 2 with b+1 a power of two, and (n, b) = (6, 2);
     everywhere else a prime exists, though with no usable bound on its size.
-    ``scan`` walks candidates p = 1 (mod n) up to ``limit`` and errors when
-    exhausted; ``cyclotomic`` factors the n-th cyclotomic value at b and
-    filters its primes by order, exact but as costly as that factorization.
-    ``auto`` scans a short prefix, takes the cyclotomic route while its value
-    is small, returns the value itself when it is prime (then it is the only
-    prime of order n: e.g. 2**127 - 1 for base 2 and n = 127 sits beyond any
-    reasonable scan), and otherwise finishes the scan to ``limit`` before
-    giving up.
+    The primes of order n are exactly the primes of the n-th cyclotomic value
+    at b that do not divide n (Zsigmondy).  ``scan`` computes that value once
+    and walks the odd candidates p = 1 (mod n) up to ``limit``, proving
+    primality only for the rare p that divide the value, and errors when
+    exhausted; ``cyclotomic`` factors the value and keeps its primes not
+    dividing n, exact but as costly as that factorization.  ``auto`` scans a
+    short prefix, takes the cyclotomic route while the value is small, returns
+    the value itself when it is prime (then it is the only prime of order n:
+    e.g. 2**127 - 1 for base 2 and n = 127 sits beyond any reasonable scan),
+    and otherwise finishes the scan to ``limit`` before giving up.
     """
     if b < 2:
         raise MidyError(f"base must be >= 2, got {b}")
@@ -64,35 +68,35 @@ def primitive_prime(
         return None
     if (n, b) == (6, 2):
         return None
+    if method not in ("auto", "scan", "cyclotomic"):
+        raise MidyError(f"unknown search method {method!r}")
+    value = _cyclotomic_value(n, b)
     if method == "scan":
-        return _primitive_scan(b, n, limit)
+        return _primitive_scan(b, n, limit, value)
     if method == "cyclotomic":
-        return _primitive_cyclotomic(b, n)
-    if method == "auto":
-        short = min(limit, 100_000)
-        try:
-            return _primitive_scan(b, n, short)
-        except MidyError:
-            value = _cyclotomic_value(n, b)
-            if value.bit_length() <= 80:
-                return _primitive_cyclotomic(b, n)
-            if n % value and is_prime(value):
-                # a prime factor of the cyclotomic value that does not divide
-                # n has order exactly n, and every prime of order n divides it
-                return value
-            if limit > short:
-                return _primitive_scan(b, n, limit)
-            raise
-    raise MidyError(f"unknown search method {method!r}")
+        return _primitive_cyclotomic(b, n, value)
+    short = min(limit, 100_000)
+    try:
+        return _primitive_scan(b, n, short, value)
+    except MidyError:
+        if value.bit_length() <= 80:
+            return _primitive_cyclotomic(b, n, value)
+        if n % value and is_prime(value):
+            # a prime factor of the cyclotomic value that does not divide
+            # n has order exactly n, and every prime of order n divides it
+            return value
+        if limit > short:
+            return _primitive_scan(b, n, limit, value)
+        raise
 
 
-def _primitive_scan(b: int, n: int, limit: int) -> int:
-    # any p with ord_p(b) = n satisfies p = 1 (mod n)
-    strip = [q for q, _ in factorize(n).factors]
-    for p in range(n + 1, limit + 1, n):
-        if b % p == 0 or not is_prime(p):
-            continue
-        if pow(b, n, p) == 1 and all(pow(b, n // q, p) != 1 for q in strip):
+def _primitive_scan(b: int, n: int, limit: int, value: int) -> int:
+    # any p with ord_p(b) = n satisfies p = 1 (mod n), so p does not divide n
+    # and divides the cyclotomic value exactly when its order is n; 2 has order
+    # 1 for odd b, so only odd candidates are walked
+    step = n if n % 2 == 0 else 2 * n
+    for p in range(step + 1, limit + 1, step):
+        if value % p == 0 and is_prime(p):
             return p
     raise MidyError(f"no prime of order {n} for base {b} below {limit}; raise the limit")
 
@@ -120,9 +124,9 @@ def _cyclotomic_value(n: int, b: int) -> int:
     return value
 
 
-def _primitive_cyclotomic(b: int, n: int) -> int:
-    for p, _ in factorize(_cyclotomic_value(n, b)).factors:  # ascending
-        if b % p and _order_int(b, p) == n:
+def _primitive_cyclotomic(b: int, n: int, value: int) -> int:
+    for p, _ in factorize(value).factors:  # ascending
+        if n % p:
             return p
     raise MidyError(f"no prime of order {n} divides the cyclotomic value at {b}")
 
@@ -176,27 +180,38 @@ def shrink_step(n: int, b: int, q: int) -> ShrinkStep:
         raise MidyError(f"{q} does not divide the period length {e}")
     if not midy_set(n, b).members:
         raise MidyError(f"the Midy set of {n} to base {b} is empty; nothing to pin")
+    return _step(n, _factor_pairs(n), b, q, e, _factor_pairs(e))[0]
 
+
+def _step(n: int, pairs, b: int, q: int, e: int, e_pairs) -> tuple[ShrinkStep, tuple]:
+    """shrink_step on a modulus whose factor pairs are known, with z*n's pairs.
+
+    e is the period length of n and e_pairs its factor pairs.  The auxiliary
+    prime p has order q by construction, which gives its lifting level and
+    puts it into the pairs of z*n without factoring p - 1 or proving p prime
+    again.
+    """
     if q != 2 or not _is_power_of_two(b + 1):
         p = primitive_prime(b, q)
         # q is prime and, on this branch, not the (2, power-of-two) exception,
         # so a prime of order q always exists; it is odd since ord_2(b) = 1.
         c = _nu_int(p, n)
         s = _nu_int(p, e)
-        m = wieferich_level(b, p)
+        m = _lifting_level(b, p, q)
         if c == 0:
             branch, z = BRANCH_P_NOT_DIVIDING, p ** (s + 1)
         elif c >= s + 1:
             branch, z = BRANCH_C_GE_S_PLUS_1, 1
         else:
-            cofactor = n // p**c
-            if _order_int(b, cofactor) % q == 0:
+            # the cofactor divides n, so its order divides e
+            if _descend(b, n // p**c, e, e_pairs) % q == 0:
                 branch = BRANCH_C_LT_Q_DIVIDES
             else:
                 branch = BRANCH_C_LT_Q_NOT_DIVIDES
             z = p ** (s - c + 1)
         step = ShrinkStep(q=q, branch=branch, p=p, c=c, s=s, m=m, z=z)
     else:
+        p = 2
         c = _nu_int(2, n)
         s = _nu_int(2, e)
         if c == s:
@@ -207,15 +222,19 @@ def shrink_step(n: int, b: int, q: int) -> ShrinkStep:
             branch, z = BRANCH_Q2_C_GT_S, 1
         step = ShrinkStep(q=q, branch=branch, p=None, c=c, s=s, m=None, z=z)
 
-    _verify_step(n, b, q, e, step.z)
-    return step
+    if z > 1:
+        grown = dict(pairs)
+        grown[p] = grown.get(p, 0) + _nu_int(p, z)
+        pairs = tuple(sorted(grown.items()))
+    _verify_step(z * n, pairs, b, q, e, e_pairs)
+    return step, pairs
 
 
-def _verify_step(n: int, b: int, q: int, e: int, z: int) -> None:
-    zn = z * n
-    if _order_int(b, zn) != e:
+def _verify_step(zn: int, pairs, b: int, q: int, e: int, e_pairs) -> None:
+    """Re-check a step on the grown modulus zn, given its factor pairs and e's."""
+    if pow(b, e, zn) != 1 or _descend(b, zn, e, e_pairs) != e:
         raise MidyError(f"shrink step for q={q} changed the period length; construction bug")
-    shrunk = midy_set(zn, b)
+    shrunk = _known_set(zn, pairs, b, e, e_pairs)
     if not shrunk.members:
         raise MidyError(f"shrink step for q={q} emptied the Midy set; construction bug")
     pin = _nu_int(q, e)
@@ -229,13 +248,14 @@ def _verify_step(n: int, b: int, q: int, e: int, z: int) -> None:
 def shrink(n: int, b: int, *, oracle_bound: int = 1_000_000) -> ShrinkResult:
     """Multiplier z for which the Midy set of z*n collapses to {period length}.
 
-    Runs one shrink_step per prime of the period length, feeding the grown
-    modulus forward.  The final set is recomputed with the fast test and, when
-    z*n stays within oracle_bound, re-checked against the digit oracle.  That
-    re-check costs about phi(z*n) long-division steps, one digit per unit
-    numerator, plus one block-sum update per numerator for each divisor not yet
-    refuted.  A set that is already the singleton returns z = 1 untouched,
-    with no re-check.
+    Runs one shrink step per prime of the period length, feeding the grown
+    modulus forward together with its factorization, which each step extends
+    by its own prime, so no step factors the grown modulus again.  The final
+    set is recomputed with the fast test and, when z*n stays within
+    oracle_bound, re-checked against the digit oracle.  That re-check costs
+    about phi(z*n) long-division steps, one digit per unit numerator, plus one
+    block-sum update per numerator for each divisor not yet refuted.  A set
+    that is already the singleton returns z = 1 untouched, with no re-check.
     """
     _check_pair(b, n)
     start = midy_set(n, b)
@@ -248,13 +268,15 @@ def shrink(n: int, b: int, *, oracle_bound: int = 1_000_000) -> ShrinkResult:
         return ShrinkResult(
             modulus=n, base=b, steps=(), z=1, final_set=start, oracle_checked=False
         )
+    e_pairs = _factor_pairs(e)
+    pairs = _factor_pairs(n)
     steps = []
     current = n
-    for q, _ in factorize(e).factors:
-        step = shrink_step(current, b, q)
+    for q, _ in e_pairs:
+        step, pairs = _step(current, pairs, b, q, e, e_pairs)
         steps.append(step)
         current *= step.z
-    final = midy_set(current, b)
+    final = _known_set(current, pairs, b, e, e_pairs)
     if final.members != (e,):
         raise MidyError("shrink did not collapse the set to the singleton; construction bug")
     oracle_checked = current <= oracle_bound

@@ -19,8 +19,9 @@ class MidyError(ValueError):
 # primality and prime generation
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Miller-Rabin with the first twelve prime bases is deterministic below this bound.
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+# Miller-Rabin with the first twelve prime bases is deterministic below this
+# bound, the least strong pseudoprime to all twelve (399165290221 * 798330580441).
+_MR_DETERMINISTIC_BOUND = 318_665_857_834_031_151_167_461
 
 
 def primes_upto(limit: int) -> list[int]:
@@ -58,7 +59,7 @@ def _miller_rabin(n: int, bases) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: deterministic below ~3.3e24, strong probable prime beyond."""
+    """Primality test: deterministic below ~3.2e23, strong probable prime beyond."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -203,17 +204,26 @@ def _group_exponent(n: int) -> int:
     return out
 
 
+def _descend(b: int, n: int, e: int, e_pairs) -> int:
+    """Least divisor o of e with b**o = 1 (mod n), stripping the primes of e.
+
+    The caller guarantees b**e = 1 (mod n) and passes e's factor pairs, so the
+    result is the order of b modulo n and nothing is factored here.
+    """
+    if n == 1:
+        return 1
+    for q, _ in e_pairs:
+        while e % q == 0 and pow(b, e // q, n) == 1:
+            e //= q
+    return e
+
+
 @lru_cache(maxsize=1 << 16)
 def _order_int(b: int, n: int) -> int:
     # least e >= 1 with b**e = 1 (mod n); caller guarantees gcd(b, n) == 1.
     # Start from the group exponent (a known multiple) and strip primes.
-    if n == 1:
-        return 1
     e = _group_exponent(n)
-    for q, _ in _factor_pairs(e):
-        while e % q == 0 and pow(b, e // q, n) == 1:
-            e //= q
-    return e
+    return _descend(b, n, e, _factor_pairs(e))
 
 
 def _check_pair(b: int, n: int) -> None:
@@ -247,7 +257,11 @@ def wieferich_level(b: int, p: int, max_level: int = 64) -> int:
     never materialized.  Almost always 1; the search caps at max_level.
     """
     _check_odd_prime(b, p)
-    o = _order_int(b, p)
+    return _lifting_level(b, p, _order_int(b, p), max_level)
+
+
+def _lifting_level(b: int, p: int, o: int, max_level: int = 64) -> int:
+    # wieferich_level for an odd prime p whose order o of b is already known
     m = 1
     mod = p * p
     while pow(b, o, mod) == 1:

@@ -79,8 +79,12 @@ def _moduli(base: int, max_n: int):
 
 
 def oracle_records(base: int, max_n: int):
-    """Per-(n, d) verdicts of the fast test, the all-x oracle and the x=1 oracle."""
+    """Per-(n, d) verdicts of the fast test, the all-x oracle and the x=1 oracle.
+
+    The fast verdicts come from one midy_set per modulus.
+    """
     for n, e, ds in _moduli(base, max_n):
+        members = set(midy_set(n, base).members)
         all_x = oracle_midy_sweep(n, base, ds, mode="all-x")
         x_one = oracle_midy_sweep(n, base, ds, mode="x-equals-1")
         for d in ds:
@@ -88,7 +92,7 @@ def oracle_records(base: int, max_n: int):
                 "base": base,
                 "n": n,
                 "d": d,
-                "theorem": check_midy(n, base, d).member,
+                "theorem": d in members,
                 "all_x": all_x[d],
                 "x_equals_1": x_one[d],
             }

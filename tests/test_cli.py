@@ -243,14 +243,33 @@ def test_verify_bounds_come_from_the_suites(capsys, monkeypatch):
         assert main(["verify", name]) == 0
         assert calls[name] == {}, name
         params = inspect.signature(verify.SUITES[name]).parameters
-        assert main(["verify", name, "--max-n", "7"]) == 0
         if "max_n" in params:
+            assert main(["verify", name, "--max-n", "7"]) == 0
             assert calls[name] == {"max_n": 7}, name
         elif name in ("prime-power", "order-lift"):
+            assert main(["verify", name, "--max-n", "7"]) == 0
             assert calls[name] == {"max_exp": 7}, name
         else:
-            assert calls[name] == {}, name
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", name, "--max-n", "7"])
+            assert exc.value.code == 2, name
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, flag, suite",
+    [
+        (["verify", "product", "--max-n", "5"], "--max-n", "product"),
+        (["verify", "zsig", "--base", "3"], "--base", "zsig"),
+    ],
+)
+def test_verify_rejects_a_bound_the_suite_does_not_take(capsys, monkeypatch, argv, flag, suite):
+    calls = _record_suite_calls(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"{flag} does not apply to suite {suite}" in capsys.readouterr().err
+    assert calls == {}  # the sweep never ran
 
 
 def test_verify_flags_are_suite_parameters():

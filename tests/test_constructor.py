@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 
-from midy import constructor
+from midy import constructor, ntcore
 from midy.analyzer import midy_set
 from midy.constructor import (
     BRANCH_C_GE_S_PLUS_1,
@@ -103,6 +103,44 @@ def test_primitive_prime_against_scan_oracle():
                 assert got > 100_000
 
 
+def _smallest_of_order(b, n, candidates):
+    # candidates: the primes p = 1 (mod n) up to the limit, ascending
+    for p in candidates:
+        if b % p and multiplicative_order(b, p) == n:
+            return p
+    return None
+
+
+def test_primitive_prime_scan_matches_brute_force():
+    # the remainder test against the order test, composite n included
+    top = 10**5
+    sieve = bytearray(top + 1)
+    for p in primes_upto(top):
+        sieve[p] = 1
+    for n in range(2, 300):
+        candidates = [p for p in range(n + 1, top + 1, n) if sieve[p]]
+        for b in (2, 3, 5, 7, 10, 12):
+            exceptional = (n == 2 and (b + 1) & b == 0) or (n, b) == (6, 2)
+            smallest = _smallest_of_order(b, n, candidates)
+            for limit in (10**3, top):
+                if exceptional:
+                    assert primitive_prime(b, n, limit=limit, method="scan") is None
+                elif smallest is not None and smallest <= limit:
+                    assert primitive_prime(b, n, limit=limit, method="scan") == smallest
+                else:
+                    message = f"no prime of order {n} for base {b} below {limit}; raise the limit"
+                    with pytest.raises(MidyError) as exc:
+                        primitive_prime(b, n, limit=limit, method="scan")
+                    assert str(exc.value) == message, (b, n, limit)
+
+
+def test_primitive_prime_failing_scans_keep_their_message():
+    # shrink(1063, 10) and shrink(1193, 2) stop here, at the default limit
+    for b, n in ((10, 59), (2, 149)):
+        with pytest.raises(MidyError, match=f"^no prime of order {n} .* raise the limit$"):
+            primitive_prime(b, n)
+
+
 def test_primitive_prime_cyclotomic_method_agrees():
     for b in range(2, 13):
         for n in range(2, 13):
@@ -187,6 +225,18 @@ def test_shrink_step_rejects_bad_args():
         shrink_step(13, 10, 4)  # not prime
     with pytest.raises(MidyError):
         shrink_step(9, 10, 2)  # empty Midy set (period length 1)
+
+
+def test_verify_step_rejects_broken_steps():
+    # n = 13, base 10: e = 6 = 2 * 3; each z below is a wrong multiplier for q = 3
+    e_pairs = ((2, 1), (3, 1))
+    with pytest.raises(MidyError, match="changed the period length"):
+        constructor._verify_step(13 * 17, ((13, 1), (17, 1)), 10, 3, 6, e_pairs)  # ord_17(10) = 16
+    with pytest.raises(MidyError, match="emptied the Midy set"):
+        constructor._verify_step(13 * 9, ((3, 2), (13, 1)), 10, 3, 6, e_pairs)
+    with pytest.raises(MidyError, match="left member 2 unpinned"):
+        constructor._verify_step(13, ((13, 1),), 10, 3, 6, e_pairs)
+    constructor._verify_step(13 * 37, ((13, 1), (37, 1)), 10, 3, 6, e_pairs)  # the real step
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +328,37 @@ def test_shrink_oracle_recheck_of_large_product():
     assert res.shrunk_modulus == 701097 <= 10**6
     assert res.final_set.members == (232,)
     assert res.oracle_checked
+
+
+def test_shrink_carries_known_orders_and_factors(monkeypatch):
+    # the q = 107 step uses p = 2**107 - 1, the prime cyclotomic value; the
+    # steps carry its order and the grown modulus's factors, so nothing
+    # factors p - 1 or the grown modulus, and p is proved prime once
+    mersenne = 2**107 - 1
+    ntcore._factor_pairs.cache_clear()
+    ntcore._order_int.cache_clear()
+
+    def no_rho(n):
+        raise AssertionError(f"Brent rho called on {n}")
+
+    monkeypatch.setattr(ntcore, "_pollard_brent", no_rho)
+    proofs = []
+    for module in (ntcore, constructor):
+        def counted(n, _inner=module.is_prime):
+            if n == mersenne:
+                proofs.append(n)
+            return _inner(n)
+
+        monkeypatch.setattr(module, "is_prime", counted)
+    res = shrink(643, 2)
+    assert len(proofs) <= 1
+    assert res.z == 3 * mersenne
+    assert [(s.q, s.branch, s.p, s.c, s.s, s.m, s.z) for s in res.steps] == [
+        (2, BRANCH_P_NOT_DIVIDING, 3, 0, 0, 1, 3),
+        (107, BRANCH_P_NOT_DIVIDING, mersenne, 0, 0, 1, mersenne),
+    ]
+    assert res.final_set.order == 214 and res.final_set.members == (214,)
+    assert not res.oracle_checked
 
 
 def test_minimal_shrink_multiplier():

@@ -1,3 +1,6 @@
+import random
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -247,6 +250,58 @@ def test_lifted_order_rejects_bad_args():
         lifted_order(10, 2, 3)
     with pytest.raises(MidyError):
         lifted_order(10, 3, 0)
+
+
+# ---------------------------------------------------------------------------
+# differential checks against sympy
+
+# the least strong pseudoprime to the first t prime bases, t = 1..13 (t = 7, 8
+# and t = 9, 10, 11 share a value); the last two sit at and above the bound
+# where the twelve fixed bases stop being enough
+STRONG_PSEUDOPRIMES = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("is_prime-vs-sympy")
+    for _ in range(100):
+        digits = rng.randint(20, 40)
+        n = rng.randrange(10 ** (digits - 1), 10**digits) | 1
+        assert is_prime(n) == sympy.isprime(n), n
+        p = sympy.nextprime(n)
+        assert is_prime(p), p
+        q = sympy.nextprime(rng.randrange(10**9, 10**10))
+        assert not is_prime(p * q), (p, q)
+    for n in STRONG_PSEUDOPRIMES:
+        assert not sympy.isprime(n)
+        assert not is_prime(n), n
+
+
+def test_multiplicative_order_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("order-vs-sympy")
+    primes = primes_upto(1_000_000)
+    for _ in range(150):
+        n = 1
+        for _ in range(rng.randint(1, 3)):
+            n *= rng.choice(primes) ** rng.choice((1, 1, 1, 2))
+        if n < 2:
+            continue
+        b = rng.randrange(2, 10**6)
+        while gcd(b, n) != 1:
+            b += 1
+        assert multiplicative_order(b, n) == sympy.n_order(b, n), (b, n)
 
 
 def test_caches_are_bounded():
