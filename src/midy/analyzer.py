@@ -20,14 +20,13 @@ from math import gcd
 from .ntcore import (
     Factorization,
     MidyError,
+    _check_odd_prime,
     _check_pair,
     _descend,
     _factor_pairs,
     _nu_int,
     _order_int,
     divisors,
-    factorize,
-    is_prime,
     lifted_order,
     wieferich_level,
 )
@@ -117,19 +116,21 @@ def check_midy(n: int, b: int, d: int) -> MidyVerdict:
 
 
 def check_midy_gcd(n: int, b: int, d: int) -> MidyVerdict:
-    """Same verdict via the primes of gcd(b**k - 1, n), found by modular reduction."""
+    """Same verdict read off g = gcd(sum_{i<d} b**(i*k) mod n, n): a member iff g = n.
+
+    The block-sum form needs no prime orders and no 2-adic rule; n is factored
+    only to name a non-member's witness, the least prime that g holds fewer of.
+    """
     _, k = _checked_k(n, b, d)
-    g = gcd(pow(b, k, n) - 1, n)
-    for p, _ in factorize(g).factors:
-        a = _nu_int(p, n)
-        allowed = _quotient_valuation(p, b, k, d)
-        if a > allowed:
-            nu_d = _nu_int(p, d)
-            return MidyVerdict(
-                n, b, d, k, False,
-                FailureCertificate(p, a, nu_d, allowed - nu_d),
-            )
-    return MidyVerdict(n, b, d, k, True)
+    c = pow(b, k, n)
+    # c**d - 1 = (c - 1) * sum, so reducing mod n*(c - 1) leaves the sum mod n
+    g = gcd(d if c == 1 else (pow(c, d, n * (c - 1)) - 1) // (c - 1), n)
+    if g == n:
+        return MidyVerdict(n, b, d, k, True)
+    p, a = next((p, a) for p, a in _factor_pairs(n) if _nu_int(p, g) < a)
+    nu_d = _nu_int(p, d)
+    cert = FailureCertificate(p, a, nu_d, _nu_int(p, g) - nu_d)
+    return MidyVerdict(n, b, d, k, False, cert)
 
 
 def midy_set(n: int, b: int) -> MidySet:
@@ -229,24 +230,13 @@ def coset_decompose(n: int, b: int, k1: int, k2: int) -> CosetDecomposition:
 # ---------------------------------------------------------------------------
 # prime powers
 
-def _check_prime_power_args(b: int, p: int, n: int) -> None:
-    if b < 2:
-        raise MidyError(f"base must be >= 2, got {b}")
-    if p == 2 or not is_prime(p):
-        raise MidyError(f"{p} must be an odd prime")
-    if b % p == 0:
-        raise MidyError(f"{p} divides the base {b}")
-    if n < 1:
-        raise MidyError(f"exponent must be >= 1, got {n}")
-
-
 def prime_power_set(b: int, p: int, n: int) -> MidySet:
     """Midy set of p**n assembled from the set of p plus order lifting.
 
     The set of a prime is every divisor >= 2 of its period length; past the
     lifting level m each extra power of p scales a copy of that set by p.
     """
-    _check_prime_power_args(b, p, n)
+    _check_odd_prime(b, p, n)
     base_members = [d for d in divisors(_order_int(b, p)) if d >= 2]
     m = wieferich_level(b, p)
     if n <= m:
@@ -269,7 +259,7 @@ class CardinalityReport:
 
 def cardinality_report(b: int, p: int, n: int) -> CardinalityReport:
     """Closed-form count with a runtime check that the scaled copies are disjoint."""
-    _check_prime_power_args(b, p, n)
+    _check_odd_prime(b, p, n)
     base_count = sum(1 for d in divisors(_order_int(b, p)) if d >= 2)
     m = wieferich_level(b, p)
     closed = base_count if n <= m else (n - m + 1) * base_count

@@ -183,8 +183,8 @@ def shrink_step(n: int, b: int, q: int) -> ShrinkStep:
     return _step(n, _factor_pairs(n), b, q, e, _factor_pairs(e))[0]
 
 
-def _step(n: int, pairs, b: int, q: int, e: int, e_pairs) -> tuple[ShrinkStep, tuple]:
-    """shrink_step on a modulus whose factor pairs are known, with z*n's pairs.
+def _step(n: int, pairs, b: int, q: int, e: int, e_pairs) -> tuple[ShrinkStep, tuple, MidySet]:
+    """shrink_step on a modulus whose factor pairs are known, with z*n's pairs and set.
 
     e is the period length of n and e_pairs its factor pairs.  The auxiliary
     prime p has order q by construction, which gives its lifting level and
@@ -226,12 +226,11 @@ def _step(n: int, pairs, b: int, q: int, e: int, e_pairs) -> tuple[ShrinkStep, t
         grown = dict(pairs)
         grown[p] = grown.get(p, 0) + _nu_int(p, z)
         pairs = tuple(sorted(grown.items()))
-    _verify_step(z * n, pairs, b, q, e, e_pairs)
-    return step, pairs
+    return step, pairs, _verify_step(z * n, pairs, b, q, e, e_pairs)
 
 
-def _verify_step(zn: int, pairs, b: int, q: int, e: int, e_pairs) -> None:
-    """Re-check a step on the grown modulus zn, given its factor pairs and e's."""
+def _verify_step(zn: int, pairs, b: int, q: int, e: int, e_pairs) -> MidySet:
+    """Re-check a step on the grown modulus zn and return its Midy set."""
     if pow(b, e, zn) != 1 or _descend(b, zn, e, e_pairs) != e:
         raise MidyError(f"shrink step for q={q} changed the period length; construction bug")
     shrunk = _known_set(zn, pairs, b, e, e_pairs)
@@ -243,6 +242,7 @@ def _verify_step(zn: int, pairs, b: int, q: int, e: int, e_pairs) -> None:
             raise MidyError(
                 f"shrink step for q={q} left member {d} unpinned; construction bug"
             )
+    return shrunk
 
 
 def shrink(n: int, b: int, *, oracle_bound: int = 1_000_000) -> ShrinkResult:
@@ -251,8 +251,8 @@ def shrink(n: int, b: int, *, oracle_bound: int = 1_000_000) -> ShrinkResult:
     Runs one shrink step per prime of the period length, feeding the grown
     modulus forward together with its factorization, which each step extends
     by its own prime, so no step factors the grown modulus again.  The final
-    set is recomputed with the fast test and, when z*n stays within
-    oracle_bound, re-checked against the digit oracle.  That re-check costs
+    set is the one the last step's fast re-check built and, when z*n stays
+    within oracle_bound, is re-checked against the digit oracle.  That costs
     about phi(z*n) long-division steps, one digit per unit numerator, plus one
     block-sum update per numerator for each divisor not yet refuted.  A set
     that is already the singleton returns z = 1 untouched, with no re-check.
@@ -273,10 +273,9 @@ def shrink(n: int, b: int, *, oracle_bound: int = 1_000_000) -> ShrinkResult:
     steps = []
     current = n
     for q, _ in e_pairs:
-        step, pairs = _step(current, pairs, b, q, e, e_pairs)
+        step, pairs, final = _step(current, pairs, b, q, e, e_pairs)
         steps.append(step)
         current *= step.z
-    final = _known_set(current, pairs, b, e, e_pairs)
     if final.members != (e,):
         raise MidyError("shrink did not collapse the set to the singleton; construction bug")
     oracle_checked = current <= oracle_bound

@@ -241,13 +241,15 @@ def multiplicative_order(b: int, n: int) -> int:
     return _order_int(b, n)
 
 
-def _check_odd_prime(b: int, p: int) -> None:
+def _check_odd_prime(b: int, p: int, t: int = 1) -> None:
     if b < 2:
         raise MidyError(f"base must be >= 2, got {b}")
     if p == 2 or not is_prime(p):
         raise MidyError(f"{p} must be an odd prime")
     if b % p == 0:
         raise MidyError(f"{p} divides the base {b}")
+    if t < 1:
+        raise MidyError(f"exponent must be >= 1, got {t}")
 
 
 def wieferich_level(b: int, p: int, max_level: int = 64) -> int:
@@ -280,9 +282,7 @@ def lifted_order(b: int, p: int, t: int) -> int:
     Equals the order mod p while t stays at or below the lifting level m, and
     grows by a factor p for each step beyond it.
     """
-    _check_odd_prime(b, p)
-    if t < 1:
-        raise MidyError(f"exponent must be >= 1, got {t}")
+    _check_odd_prime(b, p, t)
     o = _order_int(b, p)
     m = wieferich_level(b, p)
     return o if t <= m else p ** (t - m) * o

@@ -8,7 +8,7 @@ bases and bounds, and its keyword defaults are the CLI's defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import gcd
 from time import perf_counter
 
@@ -271,16 +271,23 @@ def sweep_even_multiplier(base: int = 10, max_n: int = 500) -> SweepReport:
 
 
 def sweep_gcd_form(base: int = 10, max_n: int = 500) -> SweepReport:
-    """Prime-sweep membership form against the gcd form."""
+    """Prime-sweep verdicts, certificates included, against the block-sum gcd form.
+
+    The gcd form shares no valuation rule with the prime sweep.  A witness
+    prime p must also divide b**k - 1, so its order divides k.
+    """
     t0 = perf_counter()
     report = SweepReport("gcd-form", {"base": base, "max_n": max_n}, 0)
     for n, e, ds in _moduli(base, max_n):
         for d in ds:
             report.instances += 1
-            lhs = check_midy(n, base, d).member
-            rhs = check_midy_gcd(n, base, d).member
-            if lhs != rhs:
-                report.failures.append({"n": n, "d": d, "prime_form": lhs, "gcd_form": rhs})
+            lhs = check_midy(n, base, d)
+            rhs = check_midy_gcd(n, base, d)
+            cert = lhs.certificate
+            if lhs != rhs or (cert is not None and pow(base, lhs.k, cert.prime) != 1):
+                report.failures.append(
+                    {"n": n, "d": d, "prime_form": asdict(lhs), "gcd_form": asdict(rhs)}
+                )
     return _finish(report, t0)
 
 

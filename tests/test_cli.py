@@ -1,6 +1,9 @@
 import functools
 import inspect
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -288,3 +291,27 @@ def test_text_and_json_values_agree(capsys):
     _, doc = run_json(capsys, ["set", "--base", "10", "49"])
     assert "{2, 3, 6, 14, 21, 42}" in text
     assert doc["result"]["members"] == [2, 3, 6, 14, 21, 42]
+
+
+# ---------------------------------------------------------------------------
+# the README's CLI section against the CLI
+
+README = (Path(__file__).parent.parent / "README.md").read_text()
+
+
+def test_readme_cli_examples_run(monkeypatch, tmp_path):
+    block = README.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("midy ")
+    ]
+    assert commands
+    monkeypatch.chdir(tmp_path)  # `verify ... --out` writes its report here
+    for argv in commands:
+        assert main(argv) == 0, argv
+
+
+def test_readme_lists_every_verify_suite():
+    listed = README.split("Available `verify` suites:", 1)[1].split("\n\n", 1)[0]
+    assert sorted(re.findall(r"`([^`]+)`", listed)) == sorted(verify.SUITES)

@@ -79,30 +79,6 @@ def test_primitive_prime_prime_cyclotomic_value_returned_directly(monkeypatch):
     assert primitive_prime(2, 127) == mersenne
 
 
-def test_primitive_prime_against_scan_oracle():
-    primes = primes_upto(100_000)
-    for b in range(2, 21):
-        for n in range(2, 13):
-            expect_exceptional = (n == 2 and (b + 1) & b == 0) or (n, b) == (6, 2)
-            got = primitive_prime(b, n)
-            if expect_exceptional:
-                assert got is None, (b, n)
-                continue
-            assert got is not None
-            assert multiplicative_order(b, got) == n
-            smallest = None
-            for p in primes:
-                if p % n != 1 or b % p == 0:
-                    continue
-                if multiplicative_order(b, p) == n:
-                    smallest = p
-                    break
-            if smallest is not None:
-                assert got == smallest, (b, n)
-            else:
-                assert got > 100_000
-
-
 def _smallest_of_order(b, n, candidates):
     # candidates: the primes p = 1 (mod n) up to the limit, ascending
     for p in candidates:
