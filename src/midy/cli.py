@@ -12,6 +12,7 @@ import argparse
 import inspect
 import json
 import sys
+from dataclasses import asdict
 from functools import cache
 from time import perf_counter
 
@@ -35,10 +36,14 @@ def _format_set(members) -> str:
 # ---------------------------------------------------------------------------
 # command handlers: each returns (inputs, result, text_lines, oracle_checked)
 
+def _inputs(args) -> dict:
+    """The parsed arguments a command ran with, in the order the parser declares them."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "handler", "json")}
+
+
 def _cmd_order(args):
     order = multiplicative_order(args.base, args.n)
-    inputs = {"base": args.base, "n": args.n}
-    return inputs, order, [str(order)], False
+    return _inputs(args), order, [str(order)], False
 
 
 def _cmd_period(args):
@@ -56,8 +61,7 @@ def _cmd_period(args):
         result["blocks"] = shown
         result["block_sum"] = dec.block_sum
         lines.append(f"{' '.join(shown)}, sum {dec.block_sum}")
-    inputs = {"base": args.base, "n": args.n, "x": args.x, "blocks": args.blocks}
-    return inputs, result, lines, False
+    return _inputs(args), result, lines, False
 
 
 def _cmd_set(args):
@@ -82,13 +86,7 @@ def _cmd_set(args):
             )
         oracle_checked = True
         lines.append("oracle check: ok")
-    inputs = {
-        "base": args.base,
-        "n": args.n,
-        "oracle": args.oracle,
-        "multipliers": args.multipliers,
-    }
-    return inputs, result, lines, oracle_checked
+    return _inputs(args), result, lines, oracle_checked
 
 
 def _cmd_check(args):
@@ -97,12 +95,7 @@ def _cmd_check(args):
     lines = [f"d={args.d}: {'member' if verdict.member else 'not a member'} (k={verdict.k})"]
     if verdict.certificate is not None:
         cert = verdict.certificate
-        result["certificate"] = {
-            "prime": cert.prime,
-            "nu_modulus": cert.nu_modulus,
-            "nu_d": cert.nu_d,
-            "two_adic_slack": cert.two_adic_slack,
-        }
+        result["certificate"] = asdict(cert)
         lines.append(
             f"witness prime {cert.prime}: nu(modulus)={cert.nu_modulus} "
             f"> nu(d)={cert.nu_d} + slack {cert.two_adic_slack}"
@@ -115,8 +108,7 @@ def _cmd_check(args):
             )
         oracle_checked = True
         lines.append("oracle check: ok")
-    inputs = {"base": args.base, "n": args.n, "d": args.d, "oracle": args.oracle}
-    return inputs, result, lines, oracle_checked
+    return _inputs(args), result, lines, oracle_checked
 
 
 def _cmd_shrink(args):
@@ -126,10 +118,7 @@ def _cmd_shrink(args):
         "shrunk_modulus": result_obj.shrunk_modulus,
         "final_members": list(result_obj.final_set.members),
         "order": result_obj.final_set.order,
-        "steps": [
-            {"q": s.q, "branch": s.branch, "p": s.p, "c": s.c, "s": s.s, "m": s.m, "z": s.z}
-            for s in result_obj.steps
-        ],
+        "steps": [asdict(s) for s in result_obj.steps],
     }
     lines = [
         f"z = {result_obj.z}",
@@ -143,14 +132,12 @@ def _cmd_shrink(args):
         smallest = constructor.minimal_shrink_multiplier(result_obj, cap=args.minimal_cap)
         result["minimal_z"] = smallest
         lines.append(f"minimal z (brute force up to the constructed one): {smallest}")
-    inputs = {"base": args.base, "n": args.n, "minimal": args.minimal}
-    return inputs, result, lines, result_obj.oracle_checked
+    return _inputs(args), result, lines, result_obj.oracle_checked
 
 
 def _cmd_vanish(args):
     threshold = constructor.vanish_threshold(args.n, args.base, args.p)
-    inputs = {"base": args.base, "n": args.n, "p": args.p}
-    return inputs, threshold, [str(threshold)], False
+    return _inputs(args), threshold, [str(threshold)], False
 
 
 def _cmd_zsig(args):
@@ -159,8 +146,7 @@ def _cmd_zsig(args):
     )
     result = {"exceptional": p is None, "prime": p}
     lines = ["exceptional pair" if p is None else str(p)]
-    inputs = {"base": args.base, "n": args.n}
-    return inputs, result, lines, False
+    return _inputs(args), result, lines, False
 
 
 _BOUND_FLAGS = ("base", "max_n", "max_p", "max_exp", "max_product", "max_base", "max_order")
@@ -200,8 +186,13 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(sub):
-    sub.add_argument("--json", action="store_true", help="emit one JSON document")
+def _command(subs, name: str, handler, help: str):
+    """A subcommand on modulus n to a --base; the caller adds the rest."""
+    p = subs.add_parser(name, help=help)
+    p.add_argument("--base", type=int, required=True)
+    p.add_argument("n", type=int)
+    p.set_defaults(handler=handler)
+    return p
 
 
 @cache
@@ -213,66 +204,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("order", help="multiplicative order of the base modulo n")
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("n", type=int)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_order)
+    _command(subs, "order", _cmd_order, "multiplicative order of the base modulo n")
 
-    p = subs.add_parser("period", help="periodic digits of x/n, optionally in blocks")
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("n", type=int)
+    p = _command(subs, "period", _cmd_period, "periodic digits of x/n, optionally in blocks")
     p.add_argument("--x", type=int, default=1, help="numerator (default 1)")
     p.add_argument("--blocks", type=int, default=None, metavar="D",
                    help="also split the period into D blocks and sum them")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_period)
 
-    p = subs.add_parser("set", help="the full Midy set of n to the base")
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("n", type=int)
+    p = _command(subs, "set", _cmd_set, "the full Midy set of n to the base")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check every divisor against the digit oracle")
     p.add_argument("--multipliers", action="store_true",
                    help="also print the block-sum multiplier of every member")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_set)
 
-    p = subs.add_parser("check", help="membership of one block count d, with certificate")
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("n", type=int)
+    p = _command(subs, "check", _cmd_check, "membership of one block count d, with certificate")
     p.add_argument("d", type=int)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the digit oracle")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_check)
 
-    p = subs.add_parser("shrink", help="multiplier z collapsing the Midy set of z*n")
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("n", type=int)
+    p = _command(subs, "shrink", _cmd_shrink, "multiplier z collapsing the Midy set of z*n")
     p.add_argument("--oracle-bound", type=int, default=1_000_000,
                    help="re-check with the digit oracle while z*n stays below this")
     p.add_argument("--minimal", action="store_true",
                    help="also brute-force the smallest z below the constructed one")
     p.add_argument("--minimal-cap", type=int, default=200_000,
                    help="refuse the brute-force sweep beyond this constructed z")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_shrink)
 
-    p = subs.add_parser("vanish", help="largest t with a nonempty set for p**t * n")
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("n", type=int)
+    p = _command(subs, "vanish", _cmd_vanish, "largest t with a nonempty set for p**t * n")
     p.add_argument("p", type=int)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_vanish)
 
-    p = subs.add_parser("zsig", help="smallest prime whose order of the base is n")
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("n", type=int)
+    p = _command(subs, "zsig", _cmd_zsig, "smallest prime whose order of the base is n")
     p.add_argument("--limit", type=int, default=10_000_000)
     p.add_argument("--method", choices=("auto", "scan", "cyclotomic"), default="auto")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_zsig)
 
     p = subs.add_parser("verify", help="run a property sweep and report pass/fail")
     p.add_argument("suite", choices=sorted(verify.SUITES))
@@ -282,9 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(_flag(name), type=int, help=_MAX_N_HELP if name == "max_n" else None)
     p.add_argument("--out", default=None, metavar="PATH",
                    help="also write the full JSON report to PATH")
-    _add_common(p)
     p.set_defaults(handler=_cmd_verify, usage_error=p.error)
 
+    for p in subs.choices.values():
+        p.add_argument("--json", action="store_true", help="emit one JSON document")
     return parser
 
 

@@ -4,11 +4,19 @@ Each sweep replays one of the library's structural guarantees over a range of
 inputs and reports every counterexample instead of stopping at the first.  It
 is the one implementation of its property: the unit tests call it at their own
 bases and bounds, and its keyword defaults are the CLI's defaults.
+
+A sweep is written as a generator and declared with ``@_suite(name)``.  It
+yields once per instance: ``None`` when the property holds, or a dict that
+records the failing instance.  The decorator registers it in ``SUITES`` and
+turns each call into a ``SweepReport``: the bound arguments, defaults applied,
+become ``params``, every yield counts one instance, and the run is timed.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import asdict, dataclass, field
+from functools import wraps
 from math import gcd
 from time import perf_counter
 
@@ -21,6 +29,7 @@ from .analyzer import (
     multiplier,
     prime_power_set,
     product_set,
+    restrict_set,
 )
 from .constructor import _is_power_of_two, primitive_prime
 from .ntcore import (
@@ -63,9 +72,32 @@ class SweepReport:
         }
 
 
-def _finish(report: SweepReport, t0: float) -> SweepReport:
-    report.elapsed_ms = (perf_counter() - t0) * 1000.0
-    return report
+SUITES = {}
+
+
+def _suite(name: str):
+    """Register a sweep generator as suite ``name``; calls to it return a SweepReport."""
+
+    def register(sweep):
+        signature = inspect.signature(sweep)
+
+        @wraps(sweep)
+        def run(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            t0 = perf_counter()
+            report = SweepReport(name, dict(bound.arguments), 0)
+            for failure in sweep(*args, **kwargs):
+                report.instances += 1
+                if failure is not None:
+                    report.failures.append(failure)
+            report.elapsed_ms = (perf_counter() - t0) * 1000.0
+            return report
+
+        SUITES[name] = run
+        return run
+
+    return register
 
 
 def _moduli(base: int, max_n: int):
@@ -98,33 +130,26 @@ def oracle_records(base: int, max_n: int):
             }
 
 
-def _compare_records(suite: str, base: int, max_n: int, left: str, right: str) -> SweepReport:
-    t0 = perf_counter()
-    report = SweepReport(suite, {"base": base, "max_n": max_n}, 0)
-    for rec in oracle_records(base, max_n):
-        report.instances += 1
-        if rec[left] != rec[right]:
-            report.failures.append(rec)
-    return _finish(report, t0)
-
-
-def sweep_oracle_equivalence(base: int = 10, max_n: int = 1000) -> SweepReport:
+@_suite("oracle-equivalence")
+def sweep_oracle_equivalence(base: int = 10, max_n: int = 1000):
     """Fast membership test against the all-x digit oracle."""
-    return _compare_records("oracle-equivalence", base, max_n, "theorem", "all_x")
+    for rec in oracle_records(base, max_n):
+        yield None if rec["theorem"] == rec["all_x"] else rec
 
 
-def sweep_mode_equivalence(base: int = 10, max_n: int = 1000) -> SweepReport:
+@_suite("mode-equivalence")
+def sweep_mode_equivalence(base: int = 10, max_n: int = 1000):
     """All-x oracle against the x=1 oracle."""
-    return _compare_records("mode-equivalence", base, max_n, "all_x", "x_equals_1")
+    for rec in oracle_records(base, max_n):
+        yield None if rec["all_x"] == rec["x_equals_1"] else rec
 
 
-def sweep_coset(base: int = 10, max_n: int = 300) -> SweepReport:
+@_suite("coset")
+def sweep_coset(base: int = 10, max_n: int = 300):
     """Coset translates union back to the subgroup for every valid (k1, k2).
 
     Each decomposition must also hold c = d2 // d1 translates.
     """
-    t0 = perf_counter()
-    report = SweepReport("coset", {"base": base, "max_n": max_n}, 0)
     for n in range(2, max_n + 1):
         if gcd(n, base) != 1:
             continue
@@ -142,68 +167,53 @@ def sweep_coset(base: int = 10, max_n: int = 300) -> SweepReport:
                 d1 = e // k1
                 if d2 % d1:
                     continue
-                report.instances += 1
                 dec = coset_decompose(n, base, k1, k2)
-                if dec.union() != subgroup or not len(dec.cosets) == dec.c == d2 // d1:
-                    report.failures.append({"n": n, "k1": k1, "k2": k2})
-    return _finish(report, t0)
+                ok = dec.union() == subgroup and len(dec.cosets) == dec.c == d2 // d1
+                yield None if ok else {"n": n, "k1": k1, "k2": k2}
 
 
-def sweep_prime_power(base: int = 10, max_p: int = 50, max_exp: int = 4) -> SweepReport:
+@_suite("prime-power")
+def sweep_prime_power(base: int = 10, max_p: int = 50, max_exp: int = 4):
     """Closed-form prime-power sets against direct enumeration, plus counts."""
-    t0 = perf_counter()
-    report = SweepReport(
-        "prime-power", {"base": base, "max_p": max_p, "max_exp": max_exp}, 0
-    )
     for p in primes_upto(max_p):
         if p == 2 or base % p == 0:
             continue
         for n in range(1, max_exp + 1):
-            report.instances += 1
             closed = prime_power_set(base, p, n)
             direct = midy_set(p**n, base)
             card = cardinality_report(base, p, n)
-            if (
-                closed.members != direct.members
-                or closed.order != direct.order
-                or card.closed_form != len(direct.members)
-                or not card.disjoint
-            ):
-                report.failures.append(
-                    {
-                        "p": p,
-                        "n": n,
-                        "closed": list(closed.members),
-                        "direct": list(direct.members),
-                        "count": card.closed_form,
-                        "disjoint": card.disjoint,
-                    }
-                )
-    return _finish(report, t0)
+            ok = (
+                closed.members == direct.members
+                and closed.order == direct.order
+                and card.closed_form == len(direct.members)
+                and card.disjoint
+            )
+            yield None if ok else {
+                "p": p,
+                "n": n,
+                "closed": list(closed.members),
+                "direct": list(direct.members),
+                "count": card.closed_form,
+                "disjoint": card.disjoint,
+            }
 
 
-def sweep_order_lift(base: int = 10, max_p: int = 50, max_exp: int = 4) -> SweepReport:
+@_suite("order-lift")
+def sweep_order_lift(base: int = 10, max_p: int = 50, max_exp: int = 4):
     """Closed-form order lifting against the direct order computation."""
-    t0 = perf_counter()
-    report = SweepReport(
-        "order-lift", {"base": base, "max_p": max_p, "max_exp": max_exp}, 0
-    )
     for p in primes_upto(max_p):
         if p == 2 or base % p == 0:
             continue
         for t in range(1, max_exp + 1):
-            report.instances += 1
             lifted = lifted_order(base, p, t)
             direct = multiplicative_order(base, p**t)
-            if lifted != direct:
-                report.failures.append({"p": p, "t": t, "lifted": lifted, "direct": direct})
-    return _finish(report, t0)
+            ok = lifted == direct
+            yield None if ok else {"p": p, "t": t, "lifted": lifted, "direct": direct}
 
 
-def sweep_product(base: int = 10, max_product: int = 2000) -> SweepReport:
+@_suite("product")
+def sweep_product(base: int = 10, max_product: int = 2000):
     """Filtered product sets against direct enumeration of the product modulus."""
-    t0 = perf_counter()
-    report = SweepReport("product", {"base": base, "max_product": max_product}, 0)
     for n in range(2, max_product + 1):
         if gcd(n, base) != 1:
             continue
@@ -213,30 +223,23 @@ def sweep_product(base: int = 10, max_product: int = 2000) -> SweepReport:
                 continue
             if _order_int(base, m * n) != e:
                 continue
-            report.instances += 1
             filtered = product_set(n, m, base)
             direct = midy_set(m * n, base)
-            if filtered.members != direct.members:
-                report.failures.append(
-                    {
-                        "n": n,
-                        "m": m,
-                        "filtered": list(filtered.members),
-                        "direct": list(direct.members),
-                    }
-                )
-    return _finish(report, t0)
+            yield None if filtered.members == direct.members else {
+                "n": n,
+                "m": m,
+                "filtered": list(filtered.members),
+                "direct": list(direct.members),
+            }
 
 
-def sweep_upward_closure(base: int = 10, max_n: int = 500) -> SweepReport:
+@_suite("upward-closure")
+def sweep_upward_closure(base: int = 10, max_n: int = 500):
     """Upward closure, the top element, and midy_set against per-divisor check_midy.
 
     The set must also carry the period length e as its order.
     """
-    t0 = perf_counter()
-    report = SweepReport("upward-closure", {"base": base, "max_n": max_n}, 0)
     for n, e, ds in _moduli(base, max_n):
-        report.instances += 1
         ms = midy_set(n, base)
         found = ms.members
         checked = tuple(d for d in ds if check_midy(n, base, d).member)
@@ -248,68 +251,51 @@ def sweep_upward_closure(base: int = 10, max_n: int = 500) -> SweepReport:
             if d2 % d1 == 0
         )
         top_ok = not members or e in members
-        if found != checked or ms.order != e or not closed or not top_ok:
-            report.failures.append({"n": n, "members": list(found)})
-    return _finish(report, t0)
+        ok = found == checked and ms.order == e and closed and top_ok
+        yield None if ok else {"n": n, "members": list(found)}
 
 
-def sweep_even_multiplier(base: int = 10, max_n: int = 500) -> SweepReport:
+@_suite("even-multiplier")
+def sweep_even_multiplier(base: int = 10, max_n: int = 500):
     """When 2 is a member, every even divisor d of e has multiplier d/2."""
-    t0 = perf_counter()
-    report = SweepReport("even-multiplier", {"base": base, "max_n": max_n}, 0)
     for n, e, ds in _moduli(base, max_n):
         if e % 2 or not check_midy(n, base, 2).member:
             continue
         for d in ds:
             if d % 2:
                 continue
-            report.instances += 1
             m = multiplier(n, base, d)
-            if m != d // 2:
-                report.failures.append({"n": n, "d": d, "multiplier": m})
-    return _finish(report, t0)
+            yield None if m == d // 2 else {"n": n, "d": d, "multiplier": m}
 
 
-def sweep_gcd_form(base: int = 10, max_n: int = 500) -> SweepReport:
+@_suite("gcd-form")
+def sweep_gcd_form(base: int = 10, max_n: int = 500):
     """Prime-sweep verdicts, certificates included, against the block-sum gcd form.
 
     The gcd form shares no valuation rule with the prime sweep.  A witness
     prime p must also divide b**k - 1, so its order divides k.
     """
-    t0 = perf_counter()
-    report = SweepReport("gcd-form", {"base": base, "max_n": max_n}, 0)
     for n, e, ds in _moduli(base, max_n):
         for d in ds:
-            report.instances += 1
             lhs = check_midy(n, base, d)
             rhs = check_midy_gcd(n, base, d)
             cert = lhs.certificate
-            if lhs != rhs or (cert is not None and pow(base, lhs.k, cert.prime) != 1):
-                report.failures.append(
-                    {"n": n, "d": d, "prime_form": asdict(lhs), "gcd_form": asdict(rhs)}
-                )
-    return _finish(report, t0)
+            ok = lhs == rhs and (cert is None or pow(base, lhs.k, cert.prime) == 1)
+            yield None if ok else {
+                "n": n, "d": d, "prime_form": asdict(lhs), "gcd_form": asdict(rhs)
+            }
 
 
-def sweep_primitive_prime(
-    max_base: int = 20, max_order: int = 12, scan_limit: int = 100_000
-) -> SweepReport:
+@_suite("zsig")
+def sweep_primitive_prime(max_base: int = 20, max_order: int = 12, scan_limit: int = 100_000):
     """Exceptional pairs and smallest-prime answers against a direct prime scan."""
-    t0 = perf_counter()
-    report = SweepReport(
-        "zsig",
-        {"max_base": max_base, "max_order": max_order, "scan_limit": scan_limit},
-        0,
-    )
     primes = primes_upto(scan_limit)
     for b in range(2, max_base + 1):
         for n in range(2, max_order + 1):
-            report.instances += 1
             expect_exceptional = (n == 2 and _is_power_of_two(b + 1)) or (n, b) == (6, 2)
             got = primitive_prime(b, n)
             if expect_exceptional:
-                if got is not None:
-                    report.failures.append({"b": b, "n": n, "got": got, "expected": None})
+                yield None if got is None else {"b": b, "n": n, "got": got, "expected": None}
                 continue
             smallest = None
             for p in primes:
@@ -323,20 +309,18 @@ def sweep_primitive_prime(
                 and _order_int(b, got) == n
                 and (got == smallest if smallest is not None else got > scan_limit)
             )
-            if not ok:
-                report.failures.append({"b": b, "n": n, "got": got, "scan": smallest})
-    return _finish(report, t0)
+            yield None if ok else {"b": b, "n": n, "got": got, "scan": smallest}
 
 
-SUITES = {
-    "oracle-equivalence": sweep_oracle_equivalence,
-    "mode-equivalence": sweep_mode_equivalence,
-    "coset": sweep_coset,
-    "prime-power": sweep_prime_power,
-    "order-lift": sweep_order_lift,
-    "product": sweep_product,
-    "upward-closure": sweep_upward_closure,
-    "even-multiplier": sweep_even_multiplier,
-    "gcd-form": sweep_gcd_form,
-    "zsig": sweep_primitive_prime,
-}
+@_suite("restrict")
+def sweep_restrict(base: int = 10, max_n: int = 300):
+    """Restriction: members of M_b(n2) dividing ord_n1(b) lie in M_b(n1), for n1 | n2."""
+    for n2 in range(2, max_n + 1):
+        if gcd(n2, base) != 1:
+            continue
+        for n1 in divisors(n2):
+            if n1 >= 2:
+                rep = restrict_set(n1, n2, base)
+                yield None if rep.holds else {
+                    "n1": n1, "n2": n2, "violations": list(rep.violations)
+                }

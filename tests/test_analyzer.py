@@ -22,6 +22,7 @@ from midy.verify import (
     sweep_gcd_form,
     sweep_prime_power,
     sweep_product,
+    sweep_restrict,
     sweep_upward_closure,
 )
 
@@ -162,11 +163,7 @@ def _oracle_members(n, b):
 
 
 def test_set_against_oracle_sweep():
-    for b in (2, 3, 10):
-        for n in range(2, 400):
-            if gcd(n, b) != 1:
-                continue
-            assert midy_set(n, b).members == _oracle_members(n, b), (n, b)
+    # bases 2, 3 and 10 are acceptance criterion 4's oracle_records comparison
     large_bases = {37: (3, 4, 8, 16, 19, 27, 49, 76, 361), 300: (7, 49, 91, 301, 343, 1001)}
     for b, moduli in large_bases.items():
         for n in moduli:
@@ -223,23 +220,6 @@ def test_multiplier_against_block_sums():
 def test_multiplier_of_every_member():
     multipliers = {d: multiplier(49, 10, d) for d in midy_set(49, 10).members}
     assert multipliers == {2: 1, 3: 1, 6: 3, 14: 7, 21: 10, 42: 21}
-
-
-def test_theorem_d_second_clause():
-    # members satisfy b**e - 1 = (b**k - 1) * n * t with t = D/(b**k - 1)
-    from midy.period import period_integer
-
-    for b in (2, 3, 10):
-        for n in range(2, 200):
-            if gcd(n, b) != 1:
-                continue
-            e = multiplicative_order(b, n)
-            big = period_integer(n, b)
-            for d in midy_set(n, b).members:
-                k = e // d
-                t, rem = divmod(big, b**k - 1)
-                assert rem == 0
-                assert b**e - 1 == (b**k - 1) * n * t
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +306,8 @@ def test_restrict_rejects_non_divisor():
 
 def test_restrict_sweep():
     for b in (3, 10):
-        for n2 in range(2, 300):
-            if gcd(n2, b) != 1:
-                continue
-            for n1 in divisors(n2):
-                if n1 < 2:
-                    continue
-                assert restrict_set(n1, n2, b).holds, (n1, n2, b)
+        report = sweep_restrict(b, 299)
+        assert report.passed, report.failures[:5]
 
 
 def test_product_examples():

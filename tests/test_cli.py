@@ -197,6 +197,18 @@ def test_zsig_command(capsys):
     assert doc["result"]["prime"] == 7
 
 
+def test_json_inputs_record_every_parsed_argument(capsys):
+    # the knobs that decide the answer, such as the bound behind a false
+    # oracle_checked, appear in the inputs
+    code, doc = run_json(capsys, ["shrink", "--base", "2", "1003", "--oracle-bound", "10"])
+    assert (code, doc["oracle_checked"]) == (0, False)
+    assert doc["inputs"] == {
+        "base": 2, "n": 1003, "oracle_bound": 10, "minimal": False, "minimal_cap": 200_000
+    }
+    code, doc = run_json(capsys, ["zsig", "--base", "10", "6", "--method", "cyclotomic"])
+    assert doc["inputs"] == {"base": 10, "n": 6, "limit": 10_000_000, "method": "cyclotomic"}
+
+
 def test_verify_command(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, doc = run_json(
@@ -283,6 +295,24 @@ def test_verify_flags_are_suite_parameters():
         taken.update(inspect.signature(suite).parameters)
     assert bounds == {"base", "max_n", "max_p", "max_exp", "max_product", "max_base", "max_order"}
     assert bounds <= taken
+
+
+def test_suite_harness_reports_bound_arguments():
+    tiny = {"base": 3, "max_n": 40, "max_p": 13, "max_exp": 2, "max_product": 60,
+            "max_base": 4, "max_order": 4}
+    assert list(verify.SUITES) == [
+        "oracle-equivalence", "mode-equivalence", "coset", "prime-power", "order-lift",
+        "product", "upward-closure", "even-multiplier", "gcd-form", "zsig", "restrict",
+    ]
+    for name, suite in verify.SUITES.items():
+        signature = inspect.signature(suite)
+        args = [tiny[p] for p in signature.parameters if p in tiny]  # zsig's scan_limit defaults
+        report = suite(*args)
+        bound = signature.bind(*args)
+        bound.apply_defaults()
+        assert report.suite == name
+        assert report.params == bound.arguments, name
+        assert report.instances > 0 and report.passed, name
 
 
 def test_text_and_json_values_agree(capsys):
