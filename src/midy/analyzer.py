@@ -139,11 +139,8 @@ def midy_set(n: int, b: int) -> MidySet:
     The order of each prime of n is found once; every divisor is then tested
     against every prime.  The degenerate modulus 1 yields the empty set.
     """
-    if n == 1:
-        if b < 2:
-            raise MidyError(f"base must be >= 2, got {b}")
-        return MidySet(modulus=1, base=b, order=1, members=())
-    _check_pair(b, n)
+    if n != 1 or b < 2:  # the modulus 1 has period length 1 and no d to test
+        _check_pair(b, n)
     e = _order_int(b, n)
     return _known_set(n, _factor_pairs(n), b, e, _factor_pairs(e))
 

@@ -24,7 +24,7 @@ from .ntcore import (
     factorize,
     is_prime,
 )
-from .period import oracle_midy_sweep
+from .period import oracle_confirm
 
 BRANCH_P_NOT_DIVIDING = "p-not-dividing-N"
 BRANCH_C_GE_S_PLUS_1 = "c-ge-s-plus-1"
@@ -36,6 +36,7 @@ BRANCH_Q2_S_GT_C = "q2-s-gt-c"
 # stops at c <= s: the 2-adic slack lets nu_2(n) exceed nu_2(e), and then every
 # member is already pinned, so z = 1.
 BRANCH_Q2_C_GT_S = "q2-c-gt-s"
+_SCAN_LIMIT = 10_000_000  # primitive_prime's default scan limit, the one shrink uses
 
 
 def _is_power_of_two(x: int) -> bool:
@@ -43,7 +44,7 @@ def _is_power_of_two(x: int) -> bool:
 
 
 def primitive_prime(
-    b: int, n: int, *, limit: int = 10_000_000, method: str = "auto"
+    b: int, n: int, *, limit: int = _SCAN_LIMIT, method: str = "auto"
 ) -> int | None:
     """Smallest prime p whose order of b is exactly n, or None when none exists.
 
@@ -192,9 +193,14 @@ def _step(n: int, pairs, b: int, q: int, e: int, e_pairs) -> tuple[ShrinkStep, t
     again.
     """
     if q != 2 or not _is_power_of_two(b + 1):
-        p = primitive_prime(b, q)
         # q is prime and, on this branch, not the (2, power-of-two) exception,
         # so a prime of order q always exists; it is odd since ord_2(b) = 1.
+        try:
+            p = primitive_prime(b, q)
+        except MidyError:  # the scan reached its limit: shrink has no limit to raise
+            raise MidyError(
+                f"no prime of order {q} for base {b} below {_SCAN_LIMIT}, shrink's search bound"
+            ) from None
         c = _nu_int(p, n)
         s = _nu_int(p, e)
         m = _lifting_level(b, p, q)
@@ -280,9 +286,7 @@ def shrink(n: int, b: int, *, oracle_bound: int = 1_000_000) -> ShrinkResult:
         raise MidyError("shrink did not collapse the set to the singleton; construction bug")
     oracle_checked = current <= oracle_bound
     if oracle_checked:
-        against = oracle_midy_sweep(current, b)
-        if any(flag != (d == e) for d, flag in against.items()):
-            raise MidyError("digit oracle disagrees with the fast test on the shrunk modulus")
+        oracle_confirm(current, b, final.members)
     return ShrinkResult(
         modulus=n, base=b, steps=tuple(steps), z=current // n, final_set=final,
         oracle_checked=oracle_checked,

@@ -252,25 +252,28 @@ def _check_odd_prime(b: int, p: int, t: int = 1) -> None:
         raise MidyError(f"exponent must be >= 1, got {t}")
 
 
-def wieferich_level(b: int, p: int, max_level: int = 64) -> int:
+def wieferich_level(b: int, p: int) -> int:
     """Largest m with b**ord = 1 (mod p**m), where ord is the order of b mod p.
 
     Tests successive prime powers modularly; the value b**ord - 1 itself is
-    never materialized.  Almost always 1; the search caps at max_level.
+    never materialized.  Almost always 1; a level above _MAX_LEVEL = 64 raises.
     """
     _check_odd_prime(b, p)
-    return _lifting_level(b, p, _order_int(b, p), max_level)
+    return _lifting_level(b, p, _order_int(b, p))
 
 
-def _lifting_level(b: int, p: int, o: int, max_level: int = 64) -> int:
+_MAX_LEVEL = 64
+
+
+def _lifting_level(b: int, p: int, o: int) -> int:
     # wieferich_level for an odd prime p whose order o of b is already known
     m = 1
     mod = p * p
     while pow(b, o, mod) == 1:
         m += 1
-        if m > max_level:
+        if m > _MAX_LEVEL:
             raise MidyError(
-                f"lifting level of base {b} at prime {p} exceeds the cap {max_level}"
+                f"lifting level of base {b} at prime {p} exceeds the cap {_MAX_LEVEL}"
             )
         mod *= p
     return m

@@ -88,16 +88,6 @@ def blocks(expansion: PeriodExpansion, d: int) -> BlockDecomposition:
     return BlockDecomposition(d=d, k=k, blocks=tuple(vals), block_sum=sum(vals))
 
 
-def oracle_midy(n: int, b: int, d: int, mode: str = "all-x") -> bool:
-    """Brute-force Midy test straight from the digit definition.
-
-    In ``all-x`` mode every unit numerator's block sum is tested for
-    divisibility by b**k - 1; ``x-equals-1`` tests the period integer of 1/n
-    instead.  The single-d form of :func:`oracle_midy_sweep`.
-    """
-    return oracle_midy_sweep(n, b, [d], mode)[d]
-
-
 def _rotation_block_sums(digs: list[int], b: int, k: int):
     """Exact block sums, for blocks of k digits, of every rotation of a period.
 
@@ -128,7 +118,8 @@ def oracle_midy_sweep(
     block sum, tested for divisibility by b**k - 1; ``x-equals-1`` tests the
     period integer of 1/n instead.
     """
-    _check_pair(b, n)
+    if n != 1 or b < 2:  # the modulus 1 has period length 1, as in midy_set
+        _check_pair(b, n)
     e = _order_int(b, n)
     if ds is None:
         ds = [d for d in divisors(e) if d >= 2]
@@ -137,7 +128,7 @@ def oracle_midy_sweep(
         if d < 2 or e % d:
             raise MidyError(f"d must be a divisor >= 2 of the period length {e}, got {d}")
     if mode == "x-equals-1":
-        big = period_integer(n, b)
+        big = (b**e - 1) // n  # the period integer of 1/n
         return {d: big % (b ** (e // d) - 1) == 0 for d in ds}
     if mode != "all-x":
         raise MidyError(f"unknown oracle mode {mode!r}")
@@ -164,3 +155,13 @@ def oracle_midy_sweep(
                 out[d] = False
                 pending.remove(d)
     return out
+
+
+def oracle_confirm(n: int, b: int, members, ds: list[int] | None = None) -> None:
+    """Raise MidyError naming each d where the all-x oracle over ds disagrees with members."""
+    wrong = [d for d, flag in oracle_midy_sweep(n, b, ds=ds).items() if flag != (d in members)]
+    if wrong:
+        raise MidyError(
+            f"digit oracle disagrees with the fast test on {n} base {b} at d = "
+            + ", ".join(map(str, wrong))
+        )

@@ -26,7 +26,7 @@ from midy.ntcore import (
     primes_upto,
     wieferich_level,
 )
-from midy.period import blocks, expand, oracle_midy
+from midy.period import blocks, expand, oracle_midy_sweep
 from midy.verify import oracle_records, sweep_primitive_prime
 
 DIGITS_1_49 = "020408163265306122448979591836734693877551"
@@ -151,7 +151,7 @@ def test_criterion_08_shrink():
         if oracle_checked:
             for d in divisors(e):
                 if d >= 2:
-                    assert oracle_midy(res.shrunk_modulus, 10, d) == (d == e)
+                    assert oracle_midy_sweep(res.shrunk_modulus, 10, [d])[d] == (d == e)
         details.append(f"{n}->z={res.z}{'(oracle)' if oracle_checked else ''}")
     elapsed = perf_counter() - t0
     assert elapsed < 60.0

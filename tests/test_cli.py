@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from midy import constructor, verify
+from midy import MidyError, period, shrink, verify
 from midy.cli import build_parser, main, render_digits
 
 
@@ -110,6 +110,33 @@ def test_set_oracle_flag(capsys):
     assert doc["oracle_checked"] is True
 
 
+def test_set_oracle_on_the_degenerate_modulus(capsys):
+    # n = 1 has period length 1, as n = 3 does: no d to test, so the oracle agrees
+    for n in ("1", "3"):
+        code, doc = run_json(capsys, ["set", "--base", "10", n, "--oracle"])
+        assert (code, doc["result"]["members"], doc["oracle_checked"]) == (0, [], True)
+    assert main(["set", "--base", "10", "1", "--oracle"]) == 0
+    assert capsys.readouterr().out.endswith("oracle check: ok\n")
+
+
+def test_oracle_disagreement_names_the_disputed_d(capsys, monkeypatch):
+    # an oracle that flips its verdict on d = 3 fails every confirmation
+    sweep = period.oracle_midy_sweep
+
+    def flipped(*args, **kwargs):
+        verdicts = sweep(*args, **kwargs)
+        verdicts[3] = not verdicts[3]
+        return verdicts
+
+    monkeypatch.setattr(period, "oracle_midy_sweep", flipped)
+    for argv in (["set", "--base", "10", "13"], ["check", "--base", "10", "13", "3"]):
+        assert main(argv + ["--oracle"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: digit oracle disagrees with the fast test on 13 base 10 at d = 3\n"
+    with pytest.raises(MidyError, match=r"disagrees .* on 5291 base 10 at d = 3$"):
+        shrink(13, 10)
+
+
 def test_check_command(capsys):
     code, doc = run_json(capsys, ["check", "--base", "10", "49", "7"])
     assert code == 0
@@ -151,13 +178,13 @@ def test_shrink_minimal_flag(capsys):
 
 def test_shrink_reports_whether_the_oracle_ran(capsys, monkeypatch):
     calls = []
-    sweep = constructor.oracle_midy_sweep
+    sweep = period.oracle_midy_sweep
 
     def counted(*args, **kwargs):
         calls.append(args)
         return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(constructor, "oracle_midy_sweep", counted)
+    monkeypatch.setattr(period, "oracle_midy_sweep", counted)
     # M_10(5291) = {6} already: shrink returns before the re-check
     code, doc = run_json(capsys, ["shrink", "--base", "10", "5291"])
     assert (code, doc["result"]["z"]) == (0, 1)
@@ -173,7 +200,7 @@ def test_shrink_minimal_reuses_the_built_shrink(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("oracle_midy_sweep called")
 
-    monkeypatch.setattr(constructor, "oracle_midy_sweep", refuse)
+    monkeypatch.setattr(period, "oracle_midy_sweep", refuse)
     code, doc = run_json(
         capsys, ["shrink", "--base", "2", "1003", "--oracle-bound", "10", "--minimal"]
     )

@@ -19,7 +19,7 @@ from midy.constructor import (
     vanish_threshold,
 )
 from midy.ntcore import MidyError, divisors, factorize, multiplicative_order, nu, primes_upto
-from midy.period import oracle_midy
+from midy.period import oracle_midy_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +115,17 @@ def test_primitive_prime_failing_scans_keep_their_message():
     for b, n in ((10, 59), (2, 149)):
         with pytest.raises(MidyError, match=f"^no prime of order {n} .* raise the limit$"):
             primitive_prime(b, n)
+
+
+def test_shrink_fault_message_names_its_fixed_bound():
+    # shrink takes no limit, so it names its search's fixed bound instead of
+    # asking for a raise; the prefix is primitive_prime's
+    for n, b, q in ((1063, 10, 59), (1193, 2, 149)):
+        with pytest.raises(MidyError) as exc:
+            shrink(n, b)
+        message = str(exc.value)
+        assert message.startswith(f"no prime of order {q} for base {b} below 10000000")
+        assert "raise the limit" not in message
 
 
 def test_primitive_prime_cyclotomic_method_agrees():
@@ -293,7 +304,7 @@ def test_shrink_oracle_cross_check():
         for d in divisors(e):
             if d < 2:
                 continue
-            assert oracle_midy(zn, b, d) == (d == e)
+            assert oracle_midy_sweep(zn, b, [d])[d] == (d == e)
 
 
 def test_shrink_oracle_recheck_of_large_product():

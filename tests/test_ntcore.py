@@ -215,8 +215,11 @@ def test_wieferich_rejects_bad_args():
 
 
 def test_wieferich_cap():
-    with pytest.raises(MidyError):
-        wieferich_level(10, 3, max_level=1)
+    # 1 + 3**m has lifting level exactly m at 3; levels above 64 raise
+    assert wieferich_level(1 + 3**63, 3) == 63
+    assert wieferich_level(1 + 3**64, 3) == 64
+    with pytest.raises(MidyError, match="exceeds the cap 64"):
+        wieferich_level(1 + 3**65, 3)
 
 
 def test_wieferich_mostly_one():

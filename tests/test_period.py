@@ -9,7 +9,6 @@ from midy.period import (
     _rotation_block_sums,
     blocks,
     expand,
-    oracle_midy,
     oracle_midy_sweep,
     period_integer,
 )
@@ -120,27 +119,27 @@ def test_blocks_rederivable_from_digits():
 
 
 def test_oracle_examples():
-    assert oracle_midy(13, 10, 3, mode="all-x") is True
-    assert oracle_midy(49, 10, 7, mode="all-x") is False
-    assert oracle_midy(1316833, 10, 12, mode="x-equals-1") is True
+    assert oracle_midy_sweep(13, 10, [3], mode="all-x")[3] is True
+    assert oracle_midy_sweep(49, 10, [7], mode="all-x")[7] is False
+    assert oracle_midy_sweep(1316833, 10, [12], mode="x-equals-1")[12] is True
 
 
 def test_oracle_two_adic_cases():
     # odd base, even modulus: the naive valuation rule would get these wrong
-    assert oracle_midy(4, 3, 2) is True
-    assert oracle_midy(8, 7, 2) is True
-    assert oracle_midy(16, 7, 2) is False
+    assert oracle_midy_sweep(4, 3, [2])[2] is True
+    assert oracle_midy_sweep(8, 7, [2])[2] is True
+    assert oracle_midy_sweep(16, 7, [2])[2] is False
 
 
 def test_oracle_rejects_bad_d():
     with pytest.raises(MidyError):
-        oracle_midy(13, 10, 4)
+        oracle_midy_sweep(13, 10, [4])[4]
     with pytest.raises(MidyError):
-        oracle_midy(13, 10, 1)
+        oracle_midy_sweep(13, 10, [1])[1]
     with pytest.raises(MidyError):
-        oracle_midy(9, 10, 2)  # period length 1 admits no valid d
+        oracle_midy_sweep(9, 10, [2])[2]  # period length 1 admits no valid d
     with pytest.raises(MidyError):
-        oracle_midy(13, 10, 3, mode="sideways")
+        oracle_midy_sweep(13, 10, [3], mode="sideways")[3]
 
 
 def _reference_verdicts(n, b, ds):
@@ -190,8 +189,8 @@ def test_sweep_matches_singles_at_large_base():
     ds = [d for d in divisors(e) if d >= 2]
     swept = oracle_midy_sweep(n, b, ds)
     for d in ds:
-        assert swept[d] == oracle_midy(n, b, d)
-        assert swept[d] == oracle_midy(n, b, d, mode="x-equals-1")
+        assert swept[d] == oracle_midy_sweep(n, b, [d])[d]
+        assert swept[d] == oracle_midy_sweep(n, b, [d], mode="x-equals-1")[d]
 
 
 def test_nines_complement_symmetry():
@@ -203,7 +202,7 @@ def test_nines_complement_symmetry():
             e = multiplicative_order(b, n)
             if e % 2:
                 continue
-            if not oracle_midy(n, b, 2):
+            if not oracle_midy_sweep(n, b, [2])[2]:
                 continue
             k = e // 2
             assert pow(b, k, n) == n - 1
