@@ -4,12 +4,15 @@ Membership rests on the exact divisibility criterion
 
     d in M_b(n)  <=>  n | (b**e - 1) // (b**k - 1),   e = ord_n(b), k = e // d,
 
-checked prime by prime without ever materializing b**k - 1.  The order of
+checked prime by prime without ever materializing b**k - 1.  The order o of
 each prime p of n is found once, and p only matters for the d whose k it
-divides (exactly when b**k = 1 mod p).  Such an odd p has exactly nu_p(d)
-factors in the quotient (lifting the exponent).  The 2-adic case needs care:
-for odd b and even d the quotient absorbs nu_2(d) + nu_2(b**k + 1) - 1 twos,
-one more than nu_2(d) whenever k is odd and b = 3 (mod 4).
+divides (exactly when b**k = 1 mod p), that is for the d dividing e // o.
+Such an odd p has exactly nu_p(d) factors in the quotient (lifting the
+exponent).  The 2-adic case needs care: for odd b and even d the quotient
+absorbs nu_2(d) + nu_2(b**k + 1) - 1 twos, one more than nu_2(d) whenever k
+is odd and b = 3 (mod 4).  So among the divisors of e, each prime rules out
+one box of d, and a set is the divisors left after filtering out every
+prime's box in turn.
 """
 
 from __future__ import annotations
@@ -96,6 +99,18 @@ def _prime_orders(
     return [(p, a, _descend(b, p, e, e_pairs)) for p, a in pairs]
 
 
+def _members(orders, b: int, e: int, candidates) -> list[int]:
+    """The candidates d (divisors of e) that every prime in ``orders`` lets through.
+
+    A prime of order o constrains d only when d | e // o; one filter per prime.
+    """
+    kept = list(candidates)
+    for p, a, o in orders:
+        f = e // o
+        kept = [d for d in kept if f % d or a <= _quotient_valuation(p, b, e // d, d)]
+    return kept
+
+
 def _witness(orders, b: int, k: int, d: int) -> FailureCertificate | None:
     """The first prime whose order divides k and that the quotient cannot absorb."""
     for p, a, o in orders:
@@ -136,8 +151,8 @@ def check_midy_gcd(n: int, b: int, d: int) -> MidyVerdict:
 def midy_set(n: int, b: int) -> MidySet:
     """Every divisor d >= 2 of the period length that passes the membership test.
 
-    The order of each prime of n is found once; every divisor is then tested
-    against every prime.  The degenerate modulus 1 yields the empty set.
+    The order of each prime of n is found once; the divisors are then
+    filtered prime by prime.  The degenerate modulus 1 yields the empty set.
     """
     if n != 1 or b < 2:  # the modulus 1 has period length 1 and no d to test
         _check_pair(b, n)
@@ -148,10 +163,8 @@ def midy_set(n: int, b: int) -> MidySet:
 def _known_set(n: int, pairs, b: int, e: int, e_pairs) -> MidySet:
     """midy_set of n given its factor pairs, its period length e and e's pairs."""
     orders = _prime_orders(n, b, e, pairs, e_pairs)
-    members = tuple(
-        d for d in Factorization(e, e_pairs).divisors()
-        if d >= 2 and _witness(orders, b, e // d, d) is None
-    )
+    candidates = Factorization(e, e_pairs).divisors()[1:]  # every divisor but 1
+    members = tuple(_members(orders, b, e, candidates))
     return MidySet(modulus=n, base=b, order=e, members=members)
 
 
@@ -294,8 +307,8 @@ def restrict_set(n1: int, n2: int, b: int) -> RestrictionReport:
         raise MidyError(f"{n1} must divide {n2}")
     e1 = _order_int(b, n1)
     candidates = tuple(d for d in midy_set(n2, b).members if e1 % d == 0)
-    orders = _prime_orders(n1, b, e1)
-    violations = tuple(d for d in candidates if _witness(orders, b, e1 // d, d) is not None)
+    kept = set(_members(_prime_orders(n1, b, e1), b, e1, candidates))
+    violations = tuple(d for d in candidates if d not in kept)
     return RestrictionReport(
         n1=n1, n2=n2, base=b, candidates=candidates, violations=violations
     )
@@ -319,6 +332,5 @@ def product_set(n: int, m: int, b: int) -> MidySet:
         raise MidyError(
             f"multiplying by {m} changes the period length of {n}; the filter does not apply"
         )
-    orders = _prime_orders(m, b, e)
-    members = tuple(d for d in midy_set(n, b).members if _witness(orders, b, e // d, d) is None)
+    members = tuple(_members(_prime_orders(m, b, e), b, e, midy_set(n, b).members))
     return MidySet(modulus=m * n, base=b, order=e, members=members)

@@ -9,6 +9,7 @@ re-verified on the grown modulus before it is trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .analyzer import MidySet, _known_set, midy_set
@@ -89,6 +90,12 @@ def primitive_prime(
         if limit > short:
             return _primitive_scan(b, n, limit, value)
         raise
+
+
+@lru_cache(maxsize=1 << 12)
+def _shrink_prime(b: int, q: int) -> int:
+    # shrink's prime search, once per (b, q); a failed search is not kept and raises again
+    return primitive_prime(b, q)
 
 
 def _primitive_scan(b: int, n: int, limit: int, value: int) -> int:
@@ -196,7 +203,7 @@ def _step(n: int, pairs, b: int, q: int, e: int, e_pairs) -> tuple[ShrinkStep, t
         # q is prime and, on this branch, not the (2, power-of-two) exception,
         # so a prime of order q always exists; it is odd since ord_2(b) = 1.
         try:
-            p = primitive_prime(b, q)
+            p = _shrink_prime(b, q)
         except MidyError:  # the scan reached its limit: shrink has no limit to raise
             raise MidyError(
                 f"no prime of order {q} for base {b} below {_SCAN_LIMIT}, shrink's search bound"

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 
 class MidyError(ValueError):
@@ -77,6 +77,11 @@ def is_prime(n: int) -> bool:
 
 
 _SMALL_PRIMES = tuple(primes_upto(10_000))
+# trial division tests one gcd per run of 32 small primes against the run's product
+_SMALL_RUNS = tuple(
+    (_SMALL_PRIMES[i : i + 32], prod(_SMALL_PRIMES[i : i + 32]))
+    for i in range(0, len(_SMALL_PRIMES), 32)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +123,21 @@ def _pollard_brent(n: int) -> int:
 @lru_cache(maxsize=1 << 16)
 def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     counts: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if p * p > n:
+    for run, product in _SMALL_RUNS:
+        if run[0] * run[0] > n:  # every smaller prime is gone, so n is 1 or prime
+            if n > 1:
+                counts[n] = 1
             break
-        while n % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        stack = [n]
+        g = gcd(n, product)
+        if g == 1:
+            continue
+        for p in run:
+            if g % p == 0:
+                while n % p == 0:
+                    counts[p] = counts.get(p, 0) + 1
+                    n //= p
+    else:  # every run was tried: n is 1 or a product of primes above 10**4
+        stack = [n] if n > 1 else []
         while stack:
             m = stack.pop()
             if is_prime(m):
@@ -147,7 +159,7 @@ class Factorization:
     def divisors(self) -> tuple[int, ...]:
         out = [1]
         for p, e in self.factors:
-            out = [d * p**i for d in out for i in range(e + 1)]
+            out += [d * p**i for i in range(1, e + 1) for d in out]
         return tuple(sorted(out))
 
 

@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from midy import analyzer
 from midy.analyzer import (
     _prime_orders,
+    _witness,
     cardinality_report,
     check_midy,
     coset_decompose,
@@ -168,6 +170,46 @@ def test_set_against_oracle_sweep():
     for b, moduli in large_bases.items():
         for n in moduli:
             assert midy_set(n, b).members == _oracle_members(n, b), (n, b)
+
+
+def test_set_filter_follows_the_valuation_rule(monkeypatch):
+    # the per-prime filter holds no copy of the rule: a broken
+    # _quotient_valuation must change midy_set, product_set and restrict_set
+    exact = analyzer._quotient_valuation
+
+    def no_slack(p, b, k, d):
+        return _nu_int(p, d)
+
+    def slack_at_even_k(p, b, k, d):  # the 2-adic slack on the wrong parity of k
+        return exact(p, b, k + 1, d)
+
+    assert midy_set(4, 3).members == (2,)
+    assert product_set(7, 4, 3).members == (2, 6)
+    assert restrict_set(4, 28, 3).candidates == (2,)
+    assert restrict_set(4, 20, 3).holds
+    monkeypatch.setattr(analyzer, "_quotient_valuation", no_slack)
+    assert midy_set(4, 3).members == ()
+    assert product_set(7, 4, 3).members == ()
+    assert restrict_set(4, 28, 3).candidates == ()
+    monkeypatch.setattr(analyzer, "_quotient_valuation", slack_at_even_k)
+    assert restrict_set(4, 20, 3).violations == (2,)
+
+
+def test_set_matches_per_divisor_rule_on_large_moduli():
+    # midy_set filters prime by prime; check_midy's witness tests one divisor
+    # at a time against every prime (sweep_upward_closure covers n <= 399)
+    rng = random.Random("set-vs-witness-large")
+    bases = (2, 3, 7, 10, 15, 31, 63)
+    for i in range(3000):
+        n = rng.randrange(10**6, 10**12) * rng.choice((1, 2, 4, 8, 16, 3, 9, 27, 49))
+        b = next((b for b in bases[i % 7 :] + bases if gcd(n, b) == 1), None)
+        if b is None:
+            continue
+        ms = midy_set(n, b)
+        e = ms.order
+        orders = _prime_orders(n, b, e)
+        expected = tuple(d for d in divisors(e)[1:] if _witness(orders, b, e // d, d) is None)
+        assert ms.members == expected, (n, b)
 
 
 def test_set_does_not_call_check_midy(monkeypatch):

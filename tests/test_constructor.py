@@ -128,6 +128,35 @@ def test_shrink_fault_message_names_its_fixed_bound():
         assert "raise the limit" not in message
 
 
+def test_shrink_searches_each_prime_once(monkeypatch):
+    # shrink keeps each (b, q) prime it found; a failed search is not kept,
+    # so it runs and raises again with the same message
+    calls = []
+
+    def counted(b, q, _inner=constructor.primitive_prime):
+        calls.append((b, q))
+        return _inner(b, q)
+
+    def exhausted(b, q):
+        calls.append((b, q))
+        raise MidyError("scan exhausted")
+
+    constructor._shrink_prime.cache_clear()
+    monkeypatch.setattr(constructor, "primitive_prime", counted)
+    for n in (13, 13, 91):
+        shrink(n, 10)
+    assert sorted(calls) == [(10, 2), (10, 3)]
+
+    calls.clear()
+    monkeypatch.setattr(constructor, "primitive_prime", exhausted)
+    constructor._shrink_prime.cache_clear()
+    for _ in range(2):
+        with pytest.raises(MidyError) as exc:
+            shrink(13, 10)
+        assert str(exc.value) == "no prime of order 2 for base 10 below 10000000, shrink's search bound"
+    assert calls == [(10, 2), (10, 2)]
+
+
 def test_primitive_prime_cyclotomic_method_agrees():
     for b in range(2, 13):
         for n in range(2, 13):
@@ -324,6 +353,7 @@ def test_shrink_carries_known_orders_and_factors(monkeypatch):
     mersenne = 2**107 - 1
     ntcore._factor_pairs.cache_clear()
     ntcore._order_int.cache_clear()
+    constructor._shrink_prime.cache_clear()
 
     def no_rho(n):
         raise AssertionError(f"Brent rho called on {n}")

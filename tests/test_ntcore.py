@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midy.ntcore import (
+    _SMALL_RUNS,
     MidyError,
     _factor_pairs,
     _order_int,
@@ -305,6 +306,20 @@ def test_multiplicative_order_matches_sympy():
         while gcd(b, n) != 1:
             b += 1
         assert multiplicative_order(b, n) == sympy.n_order(b, n), (b, n)
+
+
+def test_factorize_matches_sympy():
+    # every n below 10**18 has at most one prime factor above 10**9, so rho
+    # never splits more than a 30-bit prime off; the edge cases sit on the
+    # boundaries of the trial-division runs and past the last small prime
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("factorize-vs-sympy")
+    boundaries = [a[-1] * b[0] for (a, _), (b, _) in zip(_SMALL_RUNS, _SMALL_RUNS[1:])]
+    whole_runs = [product for _, product in _SMALL_RUNS]
+    edges = [9973**2, 9973 * 10007, 10007**2, 2**60, 3**37]
+    seeded = [rng.randrange(2, 10**18) for _ in range(300)]
+    for n in [*range(1, 20_000), *boundaries, *whole_runs, *edges, *seeded]:
+        assert factorize(n).factors == tuple(sorted(sympy.factorint(n).items())), n
 
 
 def test_caches_are_bounded():
