@@ -29,6 +29,7 @@ from .ntcore import (
     _factor_pairs,
     _nu_int,
     _order_int,
+    _prime_power_orders,
     divisors,
     lifted_order,
     wieferich_level,
@@ -77,12 +78,11 @@ def _quotient_valuation(p: int, b: int, k: int, d: int) -> int:
     return _nu_int(2, d) + (_nu_int(2, b + 1) - 1 if k % 2 else 0)
 
 
-def _checked_k(n: int, b: int, d: int) -> tuple[int, int]:
-    _check_pair(b, n)
-    e = _order_int(b, n)
+def _checked_k(e: int, d: int) -> int:
+    """The block length k = e // d, once d is known to be a divisor >= 2 of e."""
     if d < 2 or e % d:
         raise MidyError(f"d must be a divisor >= 2 of the period length {e}, got {d}")
-    return e, e // d
+    return e // d
 
 
 def _prime_orders(
@@ -91,6 +91,9 @@ def _prime_orders(
     """(p, nu_p(m), ord_p(b)) per prime p of m, by descent from e, a multiple of ord_m(b).
 
     ``pairs`` and ``e_pairs`` are the factor pairs of m and e when already known.
+    This needs no p - 1, so it serves where p - 1 may be out of reach: on
+    shrink's carried path a prime of order q can be a repunit such as R_1031,
+    and product_set and restrict_set start from an order already found.
     """
     if pairs is None:
         pairs = _factor_pairs(m)
@@ -125,8 +128,10 @@ def _witness(orders, b: int, k: int, d: int) -> FailureCertificate | None:
 
 def check_midy(n: int, b: int, d: int) -> MidyVerdict:
     """Decide membership by sweeping the prime divisors of the modulus."""
-    e, k = _checked_k(n, b, d)
-    cert = _witness(_prime_orders(n, b, e), b, k, d)
+    _check_pair(b, n)
+    e, _, orders = _prime_power_orders(b, n)
+    k = _checked_k(e, d)
+    cert = _witness(orders, b, k, d)
     return MidyVerdict(n, b, d, k, cert is None, cert)
 
 
@@ -136,7 +141,8 @@ def check_midy_gcd(n: int, b: int, d: int) -> MidyVerdict:
     The block-sum form needs no prime orders and no 2-adic rule; n is factored
     only to name a non-member's witness, the least prime that g holds fewer of.
     """
-    _, k = _checked_k(n, b, d)
+    _check_pair(b, n)
+    k = _checked_k(_order_int(b, n), d)
     c = pow(b, k, n)
     # c**d - 1 = (c - 1) * sum, so reducing mod n*(c - 1) leaves the sum mod n
     g = gcd(d if c == 1 else (pow(c, d, n * (c - 1)) - 1) // (c - 1), n)
@@ -151,18 +157,27 @@ def check_midy_gcd(n: int, b: int, d: int) -> MidyVerdict:
 def midy_set(n: int, b: int) -> MidySet:
     """Every divisor d >= 2 of the period length that passes the membership test.
 
-    The order of each prime of n is found once; the divisors are then
-    filtered prime by prime.  The degenerate modulus 1 yields the empty set.
+    The period length comes factored, with the order of each prime of n, from
+    one pass over n's prime powers; the divisors are then filtered prime by
+    prime.  The degenerate modulus 1 yields the empty set.
     """
     if n != 1 or b < 2:  # the modulus 1 has period length 1 and no d to test
         _check_pair(b, n)
-    e = _order_int(b, n)
-    return _known_set(n, _factor_pairs(n), b, e, _factor_pairs(e))
+    e, e_pairs, orders = _prime_power_orders(b, n)
+    return _filtered_set(n, b, e, e_pairs, orders)
 
 
 def _known_set(n: int, pairs, b: int, e: int, e_pairs) -> MidySet:
-    """midy_set of n given its factor pairs, its period length e and e's pairs."""
-    orders = _prime_orders(n, b, e, pairs, e_pairs)
+    """midy_set of n given its factor pairs, its period length e and e's pairs.
+
+    The prime orders come by descent from e, not from p - 1: shrink carries
+    primes, such as the repunit R_1031, whose p - 1 is out of reach.
+    """
+    return _filtered_set(n, b, e, e_pairs, _prime_orders(n, b, e, pairs, e_pairs))
+
+
+def _filtered_set(n: int, b: int, e: int, e_pairs, orders) -> MidySet:
+    """The Midy set of n from e, e's factor pairs and the orders of n's primes."""
     candidates = Factorization(e, e_pairs).divisors()[1:]  # every divisor but 1
     members = tuple(_members(orders, b, e, candidates))
     return MidySet(modulus=n, base=b, order=e, members=members)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 
 
 class MidyError(ValueError):
@@ -199,23 +199,6 @@ def nu(p: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # multiplicative order and its lifting to prime powers
 
-def _lambda_prime_power(p: int, e: int) -> int:
-    if p == 2:
-        if e == 1:
-            return 1
-        if e == 2:
-            return 2
-        return 1 << (e - 2)
-    return (p - 1) * p ** (e - 1)
-
-
-def _group_exponent(n: int) -> int:
-    out = 1
-    for p, e in _factor_pairs(n):
-        out = lcm(out, _lambda_prime_power(p, e))
-    return out
-
-
 def _descend(b: int, n: int, e: int, e_pairs) -> int:
     """Least divisor o of e with b**o = 1 (mod n), stripping the primes of e.
 
@@ -230,12 +213,43 @@ def _descend(b: int, n: int, e: int, e_pairs) -> int:
     return e
 
 
+def _prime_power_orders(b: int, n: int):
+    """(e, e's factor pairs, [(p, nu_p(n), ord_p(b)) per prime p of n]), e = ord_n(b).
+
+    e is the lcm of the orders modulo the prime powers p**a of n.  Each is
+    ord_p(b), found by descent from p - 1, times the least power of p that
+    brings b to 1 modulo p**a.  So only n and each p - 1 are factored, and e
+    comes out factored.  The caller guarantees gcd(b, n) == 1.
+    """
+    exps: dict[int, int] = {}
+    orders = []
+    for p, a in _factor_pairs(n):
+        if p == 2:
+            o, o_pairs = 1, []
+        else:
+            p1_pairs = _factor_pairs(p - 1)
+            o = _descend(b, p, p - 1, p1_pairs)
+            o_pairs = [(q, _nu_int(q, o)) for q, _ in p1_pairs if o % q == 0]
+        orders.append((p, a, o))
+        if a > 1:  # each step of the lift raises the order mod p**a by one p
+            mod = p**a
+            x = pow(b, o, mod)
+            lift = 0
+            while x != 1:
+                x = pow(x, p, mod)
+                lift += 1
+            o_pairs.append((p, lift))
+        for q, k in o_pairs:
+            if k > exps.get(q, 0):
+                exps[q] = k
+    e_pairs = tuple(sorted(exps.items()))
+    return prod(q**k for q, k in e_pairs), e_pairs, orders
+
+
 @lru_cache(maxsize=1 << 16)
 def _order_int(b: int, n: int) -> int:
-    # least e >= 1 with b**e = 1 (mod n); caller guarantees gcd(b, n) == 1.
-    # Start from the group exponent (a known multiple) and strip primes.
-    e = _group_exponent(n)
-    return _descend(b, n, e, _factor_pairs(e))
+    # least e >= 1 with b**e = 1 (mod n); caller guarantees gcd(b, n) == 1
+    return _prime_power_orders(b, n)[0]
 
 
 def _check_pair(b: int, n: int) -> None:
@@ -248,7 +262,11 @@ def _check_pair(b: int, n: int) -> None:
 
 
 def multiplicative_order(b: int, n: int) -> int:
-    """Least e with b**e = 1 (mod n), via group-exponent divisor descent."""
+    """Least e with b**e = 1 (mod n): the lcm of the orders modulo the prime powers of n.
+
+    Each prime p of n contributes ord_p(b), by descent from p - 1, lifted to
+    the full power of p in n, so only n and each p - 1 are factored.
+    """
     _check_pair(b, n)
     return _order_int(b, n)
 

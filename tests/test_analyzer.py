@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from midy import analyzer
+from midy import analyzer, ntcore
 from midy.analyzer import (
     _prime_orders,
     _witness,
@@ -145,6 +145,31 @@ def test_prime_orders_match_multiplicative_order():
             e = multiplicative_order(b, n)
             expected = [(p, a, multiplicative_order(b, p)) for p, a in factorize(n).factors]
             assert _prime_orders(n, b, e) == expected, (n, b)
+
+
+def test_set_and_check_factor_only_n_and_each_p_minus_1(monkeypatch):
+    # the period length comes factored from the orders of n's prime powers,
+    # so neither the group exponent nor the period length is factored
+    factor_pairs = ntcore._factor_pairs
+    seen = []
+
+    def recorded(m):
+        seen.append(m)
+        return factor_pairs(m)
+
+    cases = [(1316833, 10), (487**3 * 3**5, 10), (1093**2 * 5, 2), (2**10 * 13**2, 3)]
+    cases += [(n, 7) for n in range(10**9 + 1, 10**9 + 40) if n % 7]
+    for module in (ntcore, analyzer):
+        monkeypatch.setattr(module, "_factor_pairs", recorded)
+    for n, b in cases:
+        factor_pairs.cache_clear()
+        ntcore._order_int.cache_clear()
+        seen.clear()
+        ms = midy_set(n, b)
+        check_midy(n, b, ms.order)
+        check_midy(n, b, factor_pairs(ms.order)[0][0])
+        allowed = {n} | {p - 1 for p, _ in factor_pairs(n) if p > 2}
+        assert n in seen and set(seen) <= allowed, (n, b, set(seen) - allowed)
 
 
 def test_order_descent_strips_a_square():

@@ -10,6 +10,7 @@ from midy.ntcore import (
     MidyError,
     _factor_pairs,
     _order_int,
+    _prime_power_orders,
     divisors,
     factorize,
     is_prime,
@@ -306,6 +307,40 @@ def test_multiplicative_order_matches_sympy():
         while gcd(b, n) != 1:
             b += 1
         assert multiplicative_order(b, n) == sympy.n_order(b, n), (b, n)
+
+
+# (b, n) whose order lifts past a prime: Wieferich primes of bases 2, 3 and
+# 10 (1093, 3511, 11, 487) and powers of 2
+LIFTING_CASES = (
+    (2, 1093**2),
+    (2, 1093**3 * 5),
+    (2, 3511**2 * 7),
+    (3, 11**2),
+    (3, 11**4 * 13),
+    (10, 487**2),
+    (10, 487**3 * 3**5),
+    (3, 2**20),
+    (7, 3 * 2**30),
+    (5, 2**12),
+)
+
+
+def test_prime_power_orders_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("prime-power-orders-vs-sympy")
+    seeded = []
+    for _ in range(300):
+        n = rng.randrange(10**9 - 10**6, 10**9 + 10**6)
+        b = rng.randrange(2, 10**6)
+        while gcd(b, n) != 1:
+            b += 1
+        seeded.append((b, n))
+    for b, n in [*LIFTING_CASES, *seeded]:
+        e, e_pairs, orders = _prime_power_orders(b, n)
+        assert e == sympy.n_order(b, n) == multiplicative_order(b, n), (b, n)
+        assert e_pairs == tuple(sorted(sympy.factorint(e).items())), (b, n)
+        expected = [(p, a, sympy.n_order(b, p)) for p, a in sorted(sympy.factorint(n).items())]
+        assert orders == expected, (b, n)
 
 
 def test_factorize_matches_sympy():

@@ -1,0 +1,86 @@
+"""The bench tracer's contract with midy, checked the way bench/run.py checks it.
+
+A traced run wraps ``_factor_pairs`` and ``_order_int`` by rebinding every
+module-level name bound to them.  A call that reaches either cache another
+way (an alias captured in a default argument or a closure, or ``__wrapped__``)
+makes the cache's lookups differ from the span's calls, and a traced run
+whose outputs differ from an untraced one is wrong.  Both fail a traced
+benchmark run, so both are asserted here on a small big-query and set-table
+mix, in fresh isolated processes as the bench worker runs them.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# two 52-bit semiprimes: Brent rho splits each, as in the big-query workload
+SEMIPRIMES = ((3, 60000011 * 45000017), (10, 66000007 * 67000019))
+WINDOW = (10**9 + 30 * 4321, 30)  # start and width of a set-table window
+
+SCRIPT = r"""
+import contextlib, io, json, sys
+from math import gcd
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import midy.analyzer, midy.cli
+from tracer import CACHES, Tracer
+
+semiprimes, (start, width) = json.loads(sys.argv[3])
+tracer = None
+if sys.argv[4] == "traced":
+    tracer = Tracer()
+    tracer.install()
+
+def cli(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = midy.cli.main(argv + ["--json"])
+    doc = json.loads(out.getvalue())
+    del doc["elapsed_ms"]
+    return code, doc
+
+outputs = []
+for b, n in semiprimes:
+    code, doc = cli(["set", "--base", str(b), str(n)])
+    outputs.append([code, doc])
+    order = doc["result"]["order"]
+    d = next(q for q in range(2, order + 1) if order % q == 0)
+    outputs.append(cli(["check", "--base", str(b), str(n), str(d)]))
+for n in range(start, start + width):
+    for b in (2, 3, 10):
+        if gcd(n, b) == 1:
+            ms = midy.analyzer.midy_set(n, b)
+            outputs.append([n, b, ms.order, list(ms.members)])
+
+summary = None
+if tracer is not None:
+    found = tracer.summary()
+    summary = {
+        cache: [info["hits"] + info["misses"], found["calls"][CACHES[cache][0]]]
+        for cache, info in found["caches"].items()
+    }
+    summary["spans"] = found["calls"]
+print(json.dumps({"outputs": outputs, "caches": summary}))
+"""
+
+
+def _run(mode: str) -> dict:
+    args = json.dumps([SEMIPRIMES, WINDOW])
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "bench"), args, mode],
+        capture_output=True, text=True, timeout=120, cwd=ROOT,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_traced_run_keeps_outputs_and_cache_lookups():
+    plain, traced = _run("plain"), _run("traced")
+    assert traced["outputs"] == plain["outputs"]
+    assert all(code == 0 for code, _ in traced["outputs"][:4])
+    spans = traced["caches"].pop("spans")
+    assert spans["ntcore.factorize"] > 0 and spans["cli.main"] == 4
+    assert spans["analyzer.midy_set"] == 2 + len(traced["outputs"]) - 4
+    for cache, (lookups, calls) in traced["caches"].items():
+        assert lookups == calls, (cache, lookups, calls)
