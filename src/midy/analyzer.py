@@ -27,12 +27,11 @@ from .ntcore import (
     _check_pair,
     _descend,
     _factor_pairs,
+    _lifted,
     _nu_int,
     _order_int,
     _prime_power_orders,
     divisors,
-    lifted_order,
-    wieferich_level,
 )
 
 
@@ -83,23 +82,6 @@ def _checked_k(e: int, d: int) -> int:
     if d < 2 or e % d:
         raise MidyError(f"d must be a divisor >= 2 of the period length {e}, got {d}")
     return e // d
-
-
-def _prime_orders(
-    m: int, b: int, e: int, pairs=None, e_pairs=None
-) -> list[tuple[int, int, int]]:
-    """(p, nu_p(m), ord_p(b)) per prime p of m, by descent from e, a multiple of ord_m(b).
-
-    ``pairs`` and ``e_pairs`` are the factor pairs of m and e when already known.
-    This needs no p - 1, so it serves where p - 1 may be out of reach: on
-    shrink's carried path a prime of order q can be a repunit such as R_1031,
-    and product_set and restrict_set start from an order already found.
-    """
-    if pairs is None:
-        pairs = _factor_pairs(m)
-    if e_pairs is None:
-        e_pairs = _factor_pairs(e)
-    return [(p, a, _descend(b, p, e, e_pairs)) for p, a in pairs]
 
 
 def _members(orders, b: int, e: int, candidates) -> list[int]:
@@ -170,10 +152,11 @@ def midy_set(n: int, b: int) -> MidySet:
 def _known_set(n: int, pairs, b: int, e: int, e_pairs) -> MidySet:
     """midy_set of n given its factor pairs, its period length e and e's pairs.
 
-    The prime orders come by descent from e, not from p - 1: shrink carries
-    primes, such as the repunit R_1031, whose p - 1 is out of reach.
+    Only here do prime orders come by descent from e, not from p - 1: shrink's
+    re-check carries primes, such as the repunit R_1031, whose p - 1 is out of reach.
     """
-    return _filtered_set(n, b, e, e_pairs, _prime_orders(n, b, e, pairs, e_pairs))
+    orders = [(p, a, _descend(b, p, e, e_pairs)) for p, a in pairs]
+    return _filtered_set(n, b, e, e_pairs, orders)
 
 
 def _filtered_set(n: int, b: int, e: int, e_pairs, orders) -> MidySet:
@@ -262,15 +245,11 @@ def prime_power_set(b: int, p: int, n: int) -> MidySet:
     lifting level m each extra power of p scales a copy of that set by p.
     """
     _check_odd_prime(b, p, n)
-    base_members = [d for d in divisors(_order_int(b, p)) if d >= 2]
-    m = wieferich_level(b, p)
-    if n <= m:
-        members = tuple(base_members)
-    else:
-        members = tuple(
-            sorted({p ** (n - m - i) * d for i in range(n - m + 1) for d in base_members})
-        )
-    return MidySet(modulus=p**n, base=b, order=lifted_order(b, p, n), members=members)
+    o, m, order = _lifted(b, p, n)
+    base_members = [d for d in divisors(o) if d >= 2]
+    copies = range(max(0, n - m) + 1)  # one copy, scaled by p**i, per power past m
+    members = tuple(sorted({p**i * d for i in copies for d in base_members}))
+    return MidySet(modulus=p**n, base=b, order=order, members=members)
 
 
 @dataclass(frozen=True)
@@ -284,11 +263,10 @@ class CardinalityReport:
 
 def cardinality_report(b: int, p: int, n: int) -> CardinalityReport:
     """Closed-form count with a runtime check that the scaled copies are disjoint."""
-    _check_odd_prime(b, p, n)
-    base_count = sum(1 for d in divisors(_order_int(b, p)) if d >= 2)
-    m = wieferich_level(b, p)
+    actual = len(prime_power_set(b, p, n).members)  # checks b, p and n once
+    o, m, _ = _lifted(b, p, n)
+    base_count = sum(1 for d in divisors(o) if d >= 2)
     closed = base_count if n <= m else (n - m + 1) * base_count
-    actual = len(prime_power_set(b, p, n).members)
     return CardinalityReport(closed_form=closed, actual=actual, disjoint=closed == actual)
 
 
@@ -313,6 +291,7 @@ class RestrictionReport:
 def restrict_set(n1: int, n2: int, b: int) -> RestrictionReport:
     """Check that members of M_b(n2) dividing the period length of n1 restrict to n1.
 
+    Both sets come from midy_set; the violations are the candidates missing from M_b(n1).
     Requires n1 | n2; a violated precondition raises rather than reporting a
     failed inclusion.
     """
@@ -320,20 +299,19 @@ def restrict_set(n1: int, n2: int, b: int) -> RestrictionReport:
     _check_pair(b, n2)
     if n2 % n1:
         raise MidyError(f"{n1} must divide {n2}")
-    e1 = _order_int(b, n1)
-    candidates = tuple(d for d in midy_set(n2, b).members if e1 % d == 0)
-    kept = set(_members(_prime_orders(n1, b, e1), b, e1, candidates))
-    violations = tuple(d for d in candidates if d not in kept)
-    return RestrictionReport(
-        n1=n1, n2=n2, base=b, candidates=candidates, violations=violations
-    )
+    inner = midy_set(n1, b)
+    candidates = tuple(d for d in midy_set(n2, b).members if inner.order % d == 0)
+    violations = tuple(d for d in candidates if d not in inner)
+    return RestrictionReport(n1, n2, b, candidates, violations)
 
 
 def product_set(n: int, m: int, b: int) -> MidySet:
     """Midy set of m*n filtered out of the set of n (coprime m, equal orders).
 
     A member d of M_b(n) survives unless some prime r of m with ord_r(b) | k
-    packs more of r into m than the block-count quotient absorbs.
+    packs more of r into m than the block-count quotient absorbs.  The orders
+    come from one pass over n and one over m, never over m*n: ord_{mn}(b) =
+    lcm(e, ord_m(b)) equals e exactly when ord_m(b) divides e.
     """
     _check_pair(b, n)
     if m < 1:
@@ -342,10 +320,12 @@ def product_set(n: int, m: int, b: int) -> MidySet:
         raise MidyError(f"{m} and {n} must be coprime")
     if gcd(m, b) != 1:
         raise MidyError(f"cofactor {m} must be coprime to the base {b}")
-    e = _order_int(b, n)
-    if _order_int(b, m * n) != e:
+    start = midy_set(n, b)
+    e = start.order
+    e_m, _, orders = _prime_power_orders(b, m)
+    if e % e_m:
         raise MidyError(
             f"multiplying by {m} changes the period length of {n}; the filter does not apply"
         )
-    members = tuple(_members(_prime_orders(m, b, e), b, e, midy_set(n, b).members))
+    members = tuple(_members(orders, b, e, start.members))
     return MidySet(modulus=m * n, base=b, order=e, members=members)

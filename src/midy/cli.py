@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 from dataclasses import asdict
 from functools import cache
@@ -163,6 +164,14 @@ def _cmd_verify(args):
         if name not in params:
             args.usage_error(f"{_flag(name)} does not apply to suite {args.suite}")
         kwargs.setdefault(name, value)  # --max-n, met first, wins over --max-exp
+    if args.out:  # probe the path first, so an unwritable one costs no sweep
+        existed = os.path.exists(args.out)
+        try:
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            args.usage_error(f"cannot write --out {args.out}: {exc.strerror}")
+        if not existed:  # a sweep that fails leaves no empty report behind
+            os.remove(args.out)
     report = suite(**kwargs)
     payload = report.to_payload()
     if args.out:
@@ -215,18 +224,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check against the digit oracle")
 
     p = _command(subs, "shrink", _cmd_shrink, "multiplier z collapsing the Midy set of z*n")
-    p.add_argument("--oracle-bound", type=int, default=1_000_000,
+    p.add_argument("--oracle-bound", type=int, default=constructor._ORACLE_BOUND,
                    help="re-check with the digit oracle while z*n stays below this")
     p.add_argument("--minimal", action="store_true",
                    help="also brute-force the smallest z below the constructed one")
-    p.add_argument("--minimal-cap", type=int, default=200_000,
+    p.add_argument("--minimal-cap", type=int, default=constructor._MINIMAL_CAP,
                    help="refuse the brute-force sweep beyond this constructed z")
 
     p = _command(subs, "vanish", _cmd_vanish, "largest t with a nonempty set for p**t * n")
     p.add_argument("p", type=int)
 
     p = _command(subs, "zsig", _cmd_zsig, "smallest prime whose order of the base is n")
-    p.add_argument("--limit", type=int, default=10_000_000)
+    p.add_argument("--limit", type=int, default=constructor._SCAN_LIMIT)
     p.add_argument("--method", choices=("auto", "scan", "cyclotomic"), default="auto")
 
     p = subs.add_parser("verify", help="run a property sweep and report pass/fail")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .analyzer import MidySet, _known_set, midy_set
+from .analyzer import MidySet, _filtered_set, _known_set, midy_set
 from .ntcore import (
     MidyError,
     _check_pair,
@@ -21,6 +21,7 @@ from .ntcore import (
     _lifting_level,
     _nu_int,
     _order_int,
+    _prime_power_orders,
     divisors,
     factorize,
     is_prime,
@@ -38,6 +39,8 @@ BRANCH_Q2_S_GT_C = "q2-s-gt-c"
 # member is already pinned, so z = 1.
 BRANCH_Q2_C_GT_S = "q2-c-gt-s"
 _SCAN_LIMIT = 10_000_000  # primitive_prime's default scan limit, the one shrink uses
+_ORACLE_BOUND = 1_000_000  # shrink's default bound on z*n for the digit-oracle re-check
+_MINIMAL_CAP = 200_000  # minimal_shrink_multiplier's default cap on the constructed z
 
 
 def _is_power_of_two(x: int) -> bool:
@@ -183,12 +186,12 @@ def shrink_step(n: int, b: int, q: int) -> ShrinkStep:
     _check_pair(b, n)
     if not is_prime(q):
         raise MidyError(f"{q} is not prime")
-    e = _order_int(b, n)
+    e, e_pairs, orders = _prime_power_orders(b, n)
     if e % q:
         raise MidyError(f"{q} does not divide the period length {e}")
-    if not midy_set(n, b).members:
+    if not _filtered_set(n, b, e, e_pairs, orders).members:
         raise MidyError(f"the Midy set of {n} to base {b} is empty; nothing to pin")
-    return _step(n, _factor_pairs(n), b, q, e, _factor_pairs(e))[0]
+    return _step(n, _factor_pairs(n), b, q, e, e_pairs)[0]
 
 
 def _step(n: int, pairs, b: int, q: int, e: int, e_pairs) -> tuple[ShrinkStep, tuple, MidySet]:
@@ -258,7 +261,7 @@ def _verify_step(zn: int, pairs, b: int, q: int, e: int, e_pairs) -> MidySet:
     return shrunk
 
 
-def shrink(n: int, b: int, *, oracle_bound: int = 1_000_000) -> ShrinkResult:
+def shrink(n: int, b: int, *, oracle_bound: int = _ORACLE_BOUND) -> ShrinkResult:
     """Multiplier z for which the Midy set of z*n collapses to {period length}.
 
     Runs one shrink step per prime of the period length, feeding the grown
@@ -300,11 +303,13 @@ def shrink(n: int, b: int, *, oracle_bound: int = 1_000_000) -> ShrinkResult:
     )
 
 
-def minimal_shrink_multiplier(built: ShrinkResult, *, cap: int = 200_000) -> int:
+def minimal_shrink_multiplier(built: ShrinkResult, *, cap: int = _MINIMAL_CAP) -> int:
     """Brute-force the smallest z collapsing the set, bounded by the one ``shrink`` built.
 
     The construction makes no minimality promise; this sweep is for small
     inputs only and refuses to run when the constructed z exceeds ``cap``.
+    Each candidate's orders come from one uncached pass over its prime powers,
+    and its set is built only when its period length is e.
     """
     n, b = built.modulus, built.base
     e = built.final_set.order
@@ -313,9 +318,8 @@ def minimal_shrink_multiplier(built: ShrinkResult, *, cap: int = 200_000) -> int
     for cand in range(1, built.z):
         if gcd(cand, b) != 1:
             continue
-        if _order_int(b, cand * n) != e:
-            continue
-        if midy_set(cand * n, b).members == (e,):
+        order, e_pairs, orders = _prime_power_orders(b, cand * n)
+        if order == e and _filtered_set(cand * n, b, e, e_pairs, orders).members == (e,):
             return cand
     return built.z
 

@@ -316,6 +316,11 @@ def lifted_order(b: int, p: int, t: int) -> int:
     grows by a factor p for each step beyond it.
     """
     _check_odd_prime(b, p, t)
+    return _lifted(b, p, t)[2]
+
+
+def _lifted(b: int, p: int, t: int) -> tuple[int, int, int]:
+    # (order o mod p, lifting level m, lifted_order) for an odd prime p already checked
     o = _order_int(b, p)
-    m = wieferich_level(b, p)
-    return o if t <= m else p ** (t - m) * o
+    m = _lifting_level(b, p, o)
+    return o, m, o if t <= m else p ** (t - m) * o

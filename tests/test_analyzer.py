@@ -3,9 +3,9 @@ from math import gcd
 
 import pytest
 
-from midy import analyzer, ntcore
+from midy import analyzer, constructor, ntcore
 from midy.analyzer import (
-    _prime_orders,
+    _known_set,
     _witness,
     cardinality_report,
     check_midy,
@@ -16,7 +16,15 @@ from midy.analyzer import (
     product_set,
     restrict_set,
 )
-from midy.ntcore import MidyError, _nu_int, divisors, factorize, multiplicative_order
+from midy.constructor import shrink_step
+from midy.ntcore import (
+    MidyError,
+    _descend,
+    _nu_int,
+    divisors,
+    factorize,
+    multiplicative_order,
+)
 from midy.period import blocks, expand, oracle_midy_sweep
 from midy.verify import (
     sweep_coset,
@@ -136,20 +144,23 @@ def test_set_matches_per_divisor_check():
         assert report.passed, report.failures[:5]
 
 
-def test_prime_orders_match_multiplicative_order():
+def test_descent_from_e_matches_the_prime_power_pass():
+    # shrink's re-check takes prime orders by descent from e, midy_set from
+    # each p - 1; the two sources must give the same set
     for b in (2, 3, 10):
         window = [n for n in range(10**9, 10**9 + 400) if gcd(n, b) == 1][:300]
         for n in [*range(2, 2000), *window]:
             if gcd(n, b) != 1:
                 continue
-            e = multiplicative_order(b, n)
-            expected = [(p, a, multiplicative_order(b, p)) for p, a in factorize(n).factors]
-            assert _prime_orders(n, b, e) == expected, (n, b)
+            ms = midy_set(n, b)
+            e_pairs = factorize(ms.order).factors
+            assert _known_set(n, factorize(n).factors, b, ms.order, e_pairs) == ms, (n, b)
 
 
 def test_set_and_check_factor_only_n_and_each_p_minus_1(monkeypatch):
     # the period length comes factored from the orders of n's prime powers,
-    # so neither the group exponent nor the period length is factored
+    # so neither the group exponent, the period length nor a product m*n is
+    # factored: only the moduli named and the p - 1 of their primes
     factor_pairs = ntcore._factor_pairs
     seen = []
 
@@ -157,24 +168,48 @@ def test_set_and_check_factor_only_n_and_each_p_minus_1(monkeypatch):
         seen.append(m)
         return factor_pairs(m)
 
-    cases = [(1316833, 10), (487**3 * 3**5, 10), (1093**2 * 5, 2), (2**10 * 13**2, 3)]
-    cases += [(n, 7) for n in range(10**9 + 1, 10**9 + 40) if n % 7]
-    for module in (ntcore, analyzer):
-        monkeypatch.setattr(module, "_factor_pairs", recorded)
-    for n, b in cases:
+    def allowed(*moduli):
+        return {*moduli} | {p - 1 for n in moduli for p, _ in factor_pairs(n) if p > 2}
+
+    def watch():
         factor_pairs.cache_clear()
         ntcore._order_int.cache_clear()
         seen.clear()
+
+    cases = [(1316833, 10), (487**3 * 3**5, 10), (1093**2 * 5, 2), (2**10 * 13**2, 3)]
+    cases += [(n, 7) for n in range(10**9 + 1, 10**9 + 40) if n % 7]
+    for module in (ntcore, analyzer, constructor):
+        monkeypatch.setattr(module, "_factor_pairs", recorded)
+    for n, b in cases:
+        watch()
         ms = midy_set(n, b)
         check_midy(n, b, ms.order)
         check_midy(n, b, factor_pairs(ms.order)[0][0])
-        allowed = {n} | {p - 1 for p, _ in factor_pairs(n) if p > 2}
-        assert n in seen and set(seen) <= allowed, (n, b, set(seen) - allowed)
+        assert n in seen and set(seen) <= allowed(n), (n, b, set(seen) - allowed(n))
+
+    # products, restrictions and shrink steps, on moduli whose period lengths
+    # have small primes; m keeps the period length, so product_set applies
+    grown = [(1316833, 10, 11), (1093**2 * 5, 2, 3), (4 * 13**2 * 7, 3, 79), (10**9 + 28, 7, 11)]
+    for n, b, m in grown:
+        e_primes = [q for q, _ in factorize(multiplicative_order(b, n)).factors]
+        for q in e_primes:  # the primes of order q are found outside the watch
+            constructor._shrink_prime(b, q)
+        watch()
+        product_set(n, m, b)
+        assert set(seen) <= allowed(n, m), (n, b, m, set(seen) - allowed(n, m))
+        watch()
+        restrict_set(n, m * n, b)
+        assert set(seen) <= allowed(n, m * n), (n, b, m, set(seen) - allowed(n, m * n))
+        for q in e_primes:
+            watch()
+            shrink_step(n, b, q)
+            assert set(seen) <= allowed(n), (n, b, q, set(seen) - allowed(n))
 
 
 def test_order_descent_strips_a_square():
     # ord_3(10) = 1 sits two steps of 2 below e = ord_303(10) = 4
-    assert _prime_orders(303, 10, 4) == [(3, 1, 1), (101, 1, 4)]
+    assert _descend(10, 3, 4, ((2, 2),)) == 1
+    assert _descend(10, 101, 4, ((2, 2),)) == 4
     assert 4 not in midy_set(303, 10)  # a descent that stopped at ord 2 would admit it
 
 
@@ -232,7 +267,8 @@ def test_set_matches_per_divisor_rule_on_large_moduli():
             continue
         ms = midy_set(n, b)
         e = ms.order
-        orders = _prime_orders(n, b, e)
+        e_pairs = factorize(e).factors
+        orders = [(p, a, _descend(b, p, e, e_pairs)) for p, a in factorize(n).factors]
         expected = tuple(d for d in divisors(e)[1:] if _witness(orders, b, e // d, d) is None)
         assert ms.members == expected, (n, b)
 
@@ -353,6 +389,22 @@ def test_cardinality_examples():
     assert cardinality_report(10, 7, 1).closed_form == 3
     for n in range(1, 5):
         assert cardinality_report(10, 3, n).closed_form == 0
+
+
+def test_prime_power_helpers_test_p_once(monkeypatch):
+    tested = []
+    is_prime = ntcore.is_prime
+
+    def counted(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(ntcore, "is_prime", counted)
+    for call in (prime_power_set, cardinality_report, ntcore.lifted_order):
+        for p, t in ((7, 2), (487, 3), (3, 4)):
+            tested.clear()
+            call(10, p, t)
+            assert tested.count(p) == 1, (call.__name__, p, t, tested)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from midy import MidyError, period, shrink, verify
+from midy import MidyError, constructor, period, shrink, verify
 from midy.cli import build_parser, main, render_digits
 
 
@@ -247,9 +247,38 @@ def test_verify_command(capsys, tmp_path):
     assert doc["result"]["instances"] > 0
     saved = json.loads(out.read_text())
     assert saved == doc["result"]
+    failed = tmp_path / "failed.json"  # a sweep that raises writes no report
+    assert main(["verify", "prime-power", "--base", "1", "--out", str(failed)]) == 1
+    assert not failed.exists()
 
     assert main(["verify", "coset", "--max-n", "40"]) == 0
     assert capsys.readouterr().out.startswith("PASS")
+
+
+def test_verify_unwritable_out_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    calls = _record_suite_calls(monkeypatch)
+    out = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "coset", "--max-n", "10", "--out", str(out)])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and str(out) in errors[0]
+    assert calls == {}  # the sweep never ran
+
+
+def test_parser_defaults_are_the_library_defaults():
+    def default(func, name):
+        return inspect.signature(func).parameters[name].default
+
+    parse = build_parser().parse_args
+    shrink_args = parse(["shrink", "--base", "10", "7"])
+    zsig_args = parse(["zsig", "--base", "10", "7"])
+    assert shrink_args.oracle_bound == constructor._ORACLE_BOUND
+    assert shrink_args.oracle_bound == default(constructor.shrink, "oracle_bound")
+    assert shrink_args.minimal_cap == constructor._MINIMAL_CAP
+    assert shrink_args.minimal_cap == default(constructor.minimal_shrink_multiplier, "cap")
+    assert zsig_args.limit == constructor._SCAN_LIMIT
+    assert zsig_args.limit == default(constructor.primitive_prime, "limit")
 
 
 def test_verify_text_summary(capsys):

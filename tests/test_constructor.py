@@ -391,6 +391,15 @@ def test_minimal_shrink_multiplier():
         assert midy_set(cand * 13, 10).members != (6,)
 
 
+def test_minimal_shrink_multiplier_leaves_the_order_cache_alone():
+    # each candidate's order comes from one uncached pass over its prime powers
+    ntcore._order_int.cache_clear()  # so a full cache cannot hide new entries
+    built = shrink(49, 10)
+    before = ntcore._order_int.cache_info().currsize
+    assert minimal_shrink_multiplier(built) < built.z
+    assert ntcore._order_int.cache_info().currsize == before
+
+
 def test_minimal_shrink_cap():
     with pytest.raises(MidyError):
         minimal_shrink_multiplier(shrink(49, 10), cap=10)
