@@ -21,6 +21,7 @@ from midy.ntcore import (
     MidyError,
     _descend,
     _nu_int,
+    _prime_power_orders,
     divisors,
     factorize,
     multiplicative_order,
@@ -142,6 +143,22 @@ def test_set_matches_per_divisor_check():
     for b in (2, 3, 10):
         report = sweep_upward_closure(b, 399)
         assert report.passed, report.failures[:5]
+
+
+def test_prime_orders_match_multiplicative_order():
+    # both sources of prime orders, the pass over each p - 1 and descent from
+    # e, give ord_p(b) for every prime p of n
+    for b in (2, 3, 10):
+        window = [n for n in range(10**9, 10**9 + 400) if gcd(n, b) == 1][:300]
+        for n in [*range(2, 2000), *window]:
+            if gcd(n, b) != 1:
+                continue
+            e = multiplicative_order(b, n)
+            expected = [(p, a, multiplicative_order(b, p)) for p, a in factorize(n).factors]
+            order, e_pairs, orders = _prime_power_orders(b, n)
+            assert (order, orders) == (e, expected), (n, b)
+            descended = [(p, a, _descend(b, p, e, e_pairs)) for p, a, _ in orders]
+            assert descended == expected, (n, b)
 
 
 def test_descent_from_e_matches_the_prime_power_pass():
