@@ -25,6 +25,7 @@ from .ntcore import (
     MidyError,
     _check_odd_prime,
     _check_pair,
+    _checked_k,
     _descend,
     _factor_pairs,
     _lifted,
@@ -77,13 +78,6 @@ def _quotient_valuation(p: int, b: int, k: int, d: int) -> int:
     return _nu_int(2, d) + (_nu_int(2, b + 1) - 1 if k % 2 else 0)
 
 
-def _checked_k(e: int, d: int) -> int:
-    """The block length k = e // d, once d is known to be a divisor >= 2 of e."""
-    if d < 2 or e % d:
-        raise MidyError(f"d must be a divisor >= 2 of the period length {e}, got {d}")
-    return e // d
-
-
 def _members(orders, b: int, e: int, candidates) -> list[int]:
     """The candidates d (divisors of e) that every prime in ``orders`` lets through.
 
@@ -96,25 +90,21 @@ def _members(orders, b: int, e: int, candidates) -> list[int]:
     return kept
 
 
-def _witness(orders, b: int, k: int, d: int) -> FailureCertificate | None:
-    """The first prime whose order divides k and that the quotient cannot absorb."""
-    for p, a, o in orders:
-        if k % o:
-            continue
-        allowed = _quotient_valuation(p, b, k, d)
-        if a > allowed:
-            nu_d = _nu_int(p, d)
-            return FailureCertificate(p, a, nu_d, allowed - nu_d)
-    return None
-
-
 def check_midy(n: int, b: int, d: int) -> MidyVerdict:
-    """Decide membership by sweeping the prime divisors of the modulus."""
+    """Decide membership by sweeping the prime divisors of the modulus.
+
+    The witness of a non-member is the first prime of n whose own ``_members``
+    filter drops d; its slack is what the quotient absorbs beyond nu_p(d).
+    """
     _check_pair(b, n)
     e, _, orders = _prime_power_orders(b, n)
     k = _checked_k(e, d)
-    cert = _witness(orders, b, k, d)
-    return MidyVerdict(n, b, d, k, cert is None, cert)
+    for p, a, o in orders:
+        if not _members([(p, a, o)], b, e, [d]):
+            nu_d = _nu_int(p, d)
+            cert = FailureCertificate(p, a, nu_d, _quotient_valuation(p, b, k, d) - nu_d)
+            return MidyVerdict(n, b, d, k, False, cert)
+    return MidyVerdict(n, b, d, k, True)
 
 
 def check_midy_gcd(n: int, b: int, d: int) -> MidyVerdict:

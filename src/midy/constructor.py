@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .analyzer import MidySet, _filtered_set, _known_set, midy_set
+from .analyzer import MidySet, _filtered_set, _known_set, _quotient_valuation, midy_set
 from .ntcore import (
     MidyError,
     _check_pair,
@@ -274,17 +274,16 @@ def shrink(n: int, b: int, *, oracle_bound: int = _ORACLE_BOUND) -> ShrinkResult
     that is already the singleton returns z = 1 untouched, with no re-check.
     """
     _check_pair(b, n)
-    start = midy_set(n, b)
+    e, e_pairs, orders = _prime_power_orders(b, n)
+    start = _filtered_set(n, b, e, e_pairs, orders)
     if not start.members:
         raise MidyError(
             f"the Midy set of {n} to base {b} is empty; no multiplier can collapse it"
         )
-    e = start.order
     if start.members == (e,):
         return ShrinkResult(
             modulus=n, base=b, steps=(), z=1, final_set=start, oracle_checked=False
         )
-    e_pairs = _factor_pairs(e)
     pairs = _factor_pairs(n)
     steps = []
     current = n
@@ -333,9 +332,13 @@ def vanish_threshold(n: int, b: int, p: int) -> int:
     For odd p (or b = 1 mod 4) this is the closed form s - nu_p(n) clamped at
     zero, with s the p-part of the period length of the p-free part of n; the
     set at T itself is then nonempty whenever the p-free part's set is.  For
-    p = 2 with b = 3 (mod 4) the block-count quotient absorbs extra twos and
-    the closed form undershoots, so T comes from a bounded exact sweep and is
-    the true largest nonempty exponent (0 if every exponent is empty).
+    p = 2 with b = 3 (mod 4) the block-count quotient absorbs extra twos.  A
+    set is nonempty exactly when its period length e is a member, and for
+    u >= 2 the twos of 2**u * core (core odd) let e in exactly when u is at
+    most top = _quotient_valuation(2, b, 1, 2**max(s, 1)); the other primes of
+    b - 1 do not depend on u.  So T = top - nu_2(n), clamped at zero, is the
+    true largest nonempty exponent when the set at 2**top * core is nonempty,
+    and T = 0 when every exponent is empty.
     """
     if b < 2:
         raise MidyError(f"base must be >= 2, got {b}")
@@ -352,14 +355,5 @@ def vanish_threshold(n: int, b: int, p: int) -> int:
     s = _nu_int(p, _order_int(b, core))
     if p != 2 or b % 4 == 1:
         return max(0, s - a)
-    # p = 2, b = 3 (mod 4): a nonempty set at exponent u forces
-    # u <= max(nu_2(ord mod 2**u), s) + nu_2(b+1) - 1, which bounds u.
-    gamma = _nu_int(2, b + 1)
-    bound = max(gamma + 1, s + gamma - 1)
-    best = None
-    for u in range(bound + 1):
-        if midy_set(2**u * core, b).members:
-            best = u
-    if best is None:
-        return 0
-    return max(0, best - a)
+    top = _quotient_valuation(2, b, 1, 2 ** max(s, 1))
+    return max(0, top - a) if midy_set(2**top * core, b).members else 0

@@ -261,6 +261,13 @@ def _check_pair(b: int, n: int) -> None:
         raise MidyError(f"base {b} and modulus {n} are not coprime")
 
 
+def _checked_k(e: int, d: int) -> int:
+    """The block length k = e // d, once d is known to be a divisor >= 2 of e."""
+    if d < 2 or e % d:
+        raise MidyError(f"d must be a divisor >= 2 of the period length {e}, got {d}")
+    return e // d
+
+
 def multiplicative_order(b: int, n: int) -> int:
     """Least e with b**e = 1 (mod n): the lcm of the orders modulo the prime powers of n.
 

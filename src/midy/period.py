@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .ntcore import MidyError, _check_pair, _order_int, divisors
+from .ntcore import MidyError, _check_pair, _checked_k, _order_int, divisors
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,7 @@ def oracle_midy_sweep(
         ds = [d for d in divisors(e) if d >= 2]
     ds = sorted(set(ds))
     for d in ds:
-        if d < 2 or e % d:
-            raise MidyError(f"d must be a divisor >= 2 of the period length {e}, got {d}")
+        _checked_k(e, d)
     if mode == "x-equals-1":
         big = (b**e - 1) // n  # the period integer of 1/n
         return {d: big % (b ** (e // d) - 1) == 0 for d in ds}

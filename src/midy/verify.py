@@ -33,6 +33,7 @@ from .analyzer import (
 )
 from .constructor import _is_power_of_two, primitive_prime
 from .ntcore import (
+    MidyError,
     _order_int,
     divisors,
     lifted_order,
@@ -76,7 +77,10 @@ SUITES = {}
 
 
 def _suite(name: str):
-    """Register a sweep generator as suite ``name``; calls to it return a SweepReport."""
+    """Register a sweep generator as suite ``name``; calls to it return a SweepReport.
+
+    A base below 2 is refused once here, before any sweep runs.
+    """
 
     def register(sweep):
         signature = inspect.signature(sweep)
@@ -85,6 +89,8 @@ def _suite(name: str):
         def run(*args, **kwargs):
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
+            if bound.arguments.get("base", 2) < 2:
+                raise MidyError(f"base must be >= 2, got {bound.arguments['base']}")
             t0 = perf_counter()
             report = SweepReport(name, dict(bound.arguments), 0)
             for failure in sweep(*args, **kwargs):

@@ -6,7 +6,6 @@ import pytest
 from midy import analyzer, constructor, ntcore
 from midy.analyzer import (
     _known_set,
-    _witness,
     cardinality_report,
     check_midy,
     coset_decompose,
@@ -16,7 +15,7 @@ from midy.analyzer import (
     product_set,
     restrict_set,
 )
-from midy.constructor import shrink_step
+from midy.constructor import shrink, shrink_step
 from midy.ntcore import (
     MidyError,
     _descend,
@@ -73,12 +72,14 @@ def test_check_examples():
 
 
 def test_check_rejects_bad_d():
-    with pytest.raises(MidyError):
-        check_midy(13, 10, 4)
-    with pytest.raises(MidyError):
-        check_midy(13, 10, 1)
-    with pytest.raises(MidyError):
+    # the divisor precondition is ntcore._checked_k's, shared with the oracle
+    for d in (4, 1):
+        with pytest.raises(MidyError) as exc:
+            check_midy(13, 10, d)
+        assert str(exc.value) == f"d must be a divisor >= 2 of the period length 6, got {d}"
+    with pytest.raises(MidyError) as exc:
         check_midy(14, 10, 2)
+    assert str(exc.value) == "base 10 and modulus 14 are not coprime"
 
 
 def test_check_two_adic_cases():
@@ -221,6 +222,10 @@ def test_set_and_check_factor_only_n_and_each_p_minus_1(monkeypatch):
             watch()
             shrink_step(n, b, q)
             assert set(seen) <= allowed(n), (n, b, q, set(seen) - allowed(n))
+        # shrink carries e's pairs from the pass over n, so e is never factored
+        watch()
+        shrink(n, b, oracle_bound=0)
+        assert set(seen) <= allowed(n), (n, b, set(seen) - allowed(n))
 
 
 def test_order_descent_strips_a_square():
@@ -273,8 +278,10 @@ def test_set_filter_follows_the_valuation_rule(monkeypatch):
 
 
 def test_set_matches_per_divisor_rule_on_large_moduli():
-    # midy_set filters prime by prime; check_midy's witness tests one divisor
-    # at a time against every prime (sweep_upward_closure covers n <= 399)
+    # midy_set filters prime by prime; the reference tests one divisor at a
+    # time by the block-sum criterion n | sum_{i<d} c**i with c = b**k mod n,
+    # which needs no prime orders and no valuation rule (sweep_upward_closure
+    # covers n <= 399)
     rng = random.Random("set-vs-witness-large")
     bases = (2, 3, 7, 10, 15, 31, 63)
     for i in range(3000):
@@ -284,10 +291,12 @@ def test_set_matches_per_divisor_rule_on_large_moduli():
             continue
         ms = midy_set(n, b)
         e = ms.order
-        e_pairs = factorize(e).factors
-        orders = [(p, a, _descend(b, p, e, e_pairs)) for p, a in factorize(n).factors]
-        expected = tuple(d for d in divisors(e)[1:] if _witness(orders, b, e // d, d) is None)
-        assert ms.members == expected, (n, b)
+        expected = []
+        for d in divisors(e)[1:]:
+            c = pow(b, e // d, n)  # c != 1 since d > 1, and c - 1 divides c**d - 1
+            if (pow(c, d, n * (c - 1)) - 1) // (c - 1) % n == 0:
+                expected.append(d)
+        assert ms.members == tuple(expected), (n, b)
 
 
 def test_set_does_not_call_check_midy(monkeypatch):

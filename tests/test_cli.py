@@ -247,12 +247,24 @@ def test_verify_command(capsys, tmp_path):
     assert doc["result"]["instances"] > 0
     saved = json.loads(out.read_text())
     assert saved == doc["result"]
-    failed = tmp_path / "failed.json"  # a sweep that raises writes no report
-    assert main(["verify", "prime-power", "--base", "1", "--out", str(failed)]) == 1
-    assert not failed.exists()
 
     assert main(["verify", "coset", "--max-n", "40"]) == 0
     assert capsys.readouterr().out.startswith("PASS")
+
+
+def test_verify_rejects_a_base_below_2(capsys, tmp_path):
+    # base 0 or 1 gives no valid instance; every suite that takes a base
+    # refuses it with exit 1 and leaves no report, never PASS (0 instances)
+    suites = [
+        name for name, run in verify.SUITES.items() if "base" in inspect.signature(run).parameters
+    ]
+    assert len(suites) == 10
+    for suite in suites:
+        for base in ("0", "1"):
+            out = tmp_path / f"{suite}-{base}.json"
+            assert main(["verify", suite, "--base", base, "--out", str(out)]) == 1, (suite, base)
+            assert capsys.readouterr().err == f"error: base must be >= 2, got {base}\n"
+            assert not out.exists()
 
 
 def test_verify_unwritable_out_is_a_usage_error(capsys, monkeypatch, tmp_path):

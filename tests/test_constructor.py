@@ -433,7 +433,8 @@ def test_vanish_sweep_semantics():
 
 
 def test_vanish_two_adic_fallback():
-    # base 3 mod 4: the closed form undershoots and the exact sweep takes over
+    # base 3 mod 4: the odd closed form undershoots, and the 2-adic slack gives
+    # the top exponent, confirmed by one set: 4 = _quotient_valuation(2, 7, 1, 4)
     assert vanish_threshold(5, 7, 2) == 4
     assert vanish_threshold(1, 7, 2) == 3
     for t in (5, 6, 7):
@@ -445,12 +446,31 @@ def test_vanish_two_adic_fallback():
 
 
 def test_vanish_against_full_sweep():
-    # exact semantics on a grid: nonempty up to the threshold's maximum, empty beyond
-    for b in (5, 7, 10, 11):
+    # exact semantics on a grid: nonempty at the threshold, empty beyond;
+    # bases 3 mod 4 take the 2-adic rule at p = 2, even n included
+    for b in (3, 5, 7, 10, 11, 15, 19, 23, 31, 63):
         for p, _ in factorize(b - 1).factors:
-            for n in (1, 2, 3, 7, 9, 12, 13):
+            for n in (1, 2, 3, 4, 7, 8, 9, 12, 13, 16, 20, 24, 40, 48):
                 if gcd(n, b) != 1:
                     continue
                 tau = vanish_threshold(n, b, p)
                 beyond = [midy_set(p**t * n, b).members for t in range(tau + 1, tau + 4)]
                 assert all(m == () for m in beyond), (b, p, n, tau)
+                if tau >= 1:
+                    assert midy_set(p**tau * n, b).members, (b, p, n, tau)
+
+
+def test_vanish_builds_at_most_one_set(monkeypatch):
+    # the 2-adic case confirms its closed-form top with one set; the odd
+    # closed form builds none
+    calls = []
+
+    def counted(n, b, _inner=constructor.midy_set):
+        calls.append((n, b))
+        return _inner(n, b)
+
+    monkeypatch.setattr(constructor, "midy_set", counted)
+    for n, b, p, sets in ((5, 7, 2, 1), (1, 7, 2, 1), (20, 63, 2, 1), (13, 10, 3, 0), (3, 5, 2, 0)):
+        calls.clear()
+        vanish_threshold(n, b, p)
+        assert len(calls) == sets, (n, b, p, calls)

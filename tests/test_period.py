@@ -132,12 +132,11 @@ def test_oracle_two_adic_cases():
 
 
 def test_oracle_rejects_bad_d():
-    with pytest.raises(MidyError):
-        oracle_midy_sweep(13, 10, [4])[4]
-    with pytest.raises(MidyError):
-        oracle_midy_sweep(13, 10, [1])[1]
-    with pytest.raises(MidyError):
-        oracle_midy_sweep(9, 10, [2])[2]  # period length 1 admits no valid d
+    # the divisor precondition is ntcore._checked_k's, shared with check_midy
+    for n, d, e in ((13, 4, 6), (13, 1, 6), (9, 2, 1)):  # period length 1 admits no d
+        with pytest.raises(MidyError) as exc:
+            oracle_midy_sweep(n, 10, [d])
+        assert str(exc.value) == f"d must be a divisor >= 2 of the period length {e}, got {d}"
     with pytest.raises(MidyError):
         oracle_midy_sweep(13, 10, [3], mode="sideways")[3]
 

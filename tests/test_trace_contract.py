@@ -5,8 +5,8 @@ module-level name bound to them.  A call that reaches either cache another
 way (an alias captured in a default argument or a closure, or ``__wrapped__``)
 makes the cache's lookups differ from the span's calls, and a traced run
 whose outputs differ from an untraced one is wrong.  Both fail a traced
-benchmark run, so both are asserted here on a small big-query and set-table
-mix, in fresh isolated processes as the bench worker runs them.
+benchmark run, so both are asserted here on a small big-query, set-table and
+shrink mix, in fresh isolated processes as the bench worker runs them.
 """
 
 import json
@@ -19,15 +19,18 @@ ROOT = Path(__file__).resolve().parent.parent
 # two 52-bit semiprimes: Brent rho splits each, as in the big-query workload
 SEMIPRIMES = ((3, 60000011 * 45000017), (10, 66000007 * 67000019))
 WINDOW = (10**9 + 30 * 4321, 30)  # start and width of a set-table window
+# shrink inputs: the oracle re-checks the first three (z*n is 1023, 819 and
+# 20), (8, 7) is already the singleton, and the last two exceed the bound
+SHRINKS = ((11, 2), (13, 2), (5, 7), (8, 7), (49, 10), (1316833, 10))
 
 SCRIPT = r"""
 import contextlib, io, json, sys
 from math import gcd
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
-import midy.analyzer, midy.cli
+import midy.analyzer, midy.cli, midy.constructor
 from tracer import CACHES, Tracer
 
-semiprimes, (start, width) = json.loads(sys.argv[3])
+semiprimes, (start, width), shrinks = json.loads(sys.argv[3])
 tracer = None
 if sys.argv[4] == "traced":
     tracer = Tracer()
@@ -52,6 +55,10 @@ for n in range(start, start + width):
         if gcd(n, b) == 1:
             ms = midy.analyzer.midy_set(n, b)
             outputs.append([n, b, ms.order, list(ms.members)])
+for n, b in shrinks:
+    res = midy.constructor.shrink(n, b, oracle_bound=2000)
+    steps = [[s.q, s.branch, s.p, s.z] for s in res.steps]
+    outputs.append([n, b, res.z, list(res.final_set.members), res.oracle_checked, steps])
 
 summary = None
 if tracer is not None:
@@ -61,12 +68,13 @@ if tracer is not None:
         for cache, info in found["caches"].items()
     }
     summary["spans"] = found["calls"]
+    summary["rechecked"] = found["rechecked"]
 print(json.dumps({"outputs": outputs, "caches": summary}))
 """
 
 
 def _run(mode: str) -> dict:
-    args = json.dumps([SEMIPRIMES, WINDOW])
+    args = json.dumps([SEMIPRIMES, WINDOW, SHRINKS])
     done = subprocess.run(
         [sys.executable, "-I", "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "bench"), args, mode],
         capture_output=True, text=True, timeout=120, cwd=ROOT,
@@ -81,6 +89,13 @@ def test_traced_run_keeps_outputs_and_cache_lookups():
     assert all(code == 0 for code, _ in traced["outputs"][:4])
     spans = traced["caches"].pop("spans")
     assert spans["ntcore.factorize"] > 0 and spans["cli.main"] == 4
-    assert spans["analyzer.midy_set"] == 2 + len(traced["outputs"]) - 4
+    # one set per CLI set command and per table row; shrink builds its sets
+    # from its own pass over n, not through midy_set
+    table = len(traced["outputs"]) - 4 - len(SHRINKS)
+    assert spans["analyzer.midy_set"] == 2 + table
+    assert spans["constructor.shrink"] == len(SHRINKS)
+    shrunk = traced["outputs"][-len(SHRINKS) :]
+    assert [out[4] for out in shrunk] == [True, True, True, False, False, False]
+    assert traced["caches"].pop("rechecked") == 3
     for cache, (lookups, calls) in traced["caches"].items():
         assert lookups == calls, (cache, lookups, calls)
