@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minimal-cap", type=int, default=constructor._MINIMAL_CAP,
                    help="refuse the brute-force sweep beyond this constructed z")
 
-    p = _command(subs, "vanish", _cmd_vanish, "largest t with a nonempty set for p**t * n")
+    p = _command(subs, "vanish", _cmd_vanish,
+                 "largest t with a nonempty set for p**t * n, 0 when there is none")
     p.add_argument("p", type=int)
 
     p = _command(subs, "zsig", _cmd_zsig, "smallest prime whose order of the base is n")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .analyzer import MidySet, _filtered_set, _known_set, _quotient_valuation, midy_set
+from .analyzer import MidySet, _filtered_set, _known_set, _members, _quotient_valuation
 from .ntcore import (
     MidyError,
     _check_pair,
@@ -20,7 +20,6 @@ from .ntcore import (
     _factor_pairs,
     _lifting_level,
     _nu_int,
-    _order_int,
     _prime_power_orders,
     divisors,
     factorize,
@@ -96,8 +95,8 @@ def primitive_prime(
 
 
 @lru_cache(maxsize=1 << 12)
-def _shrink_prime(b: int, q: int) -> int:
-    # shrink's prime search, once per (b, q); a failed search is not kept and raises again
+def _shrink_prime(b: int, q: int) -> int | None:
+    # shrink's prime search once per (b, q), a None kept too; a failed one raises again
     return primitive_prime(b, q)
 
 
@@ -202,15 +201,13 @@ def _step(n: int, pairs, b: int, q: int, e: int, e_pairs) -> tuple[ShrinkStep, t
     puts it into the pairs of z*n without factoring p - 1 or proving p prime
     again.
     """
-    if q != 2 or not _is_power_of_two(b + 1):
-        # q is prime and, on this branch, not the (2, power-of-two) exception,
-        # so a prime of order q always exists; it is odd since ord_2(b) = 1.
-        try:
-            p = _shrink_prime(b, q)
-        except MidyError:  # the scan reached its limit: shrink has no limit to raise
-            raise MidyError(
-                f"no prime of order {q} for base {b} below {_SCAN_LIMIT}, shrink's search bound"
-            ) from None
+    try:
+        p = _shrink_prime(b, q)
+    except MidyError:  # the scan reached its limit: shrink has no limit to raise
+        raise MidyError(
+            f"no prime of order {q} for base {b} below {_SCAN_LIMIT}, shrink's search bound"
+        ) from None
+    if p is not None:
         c = _nu_int(p, n)
         s = _nu_int(p, e)
         m = _lifting_level(b, p, q)
@@ -226,7 +223,7 @@ def _step(n: int, pairs, b: int, q: int, e: int, e_pairs) -> tuple[ShrinkStep, t
                 branch = BRANCH_C_LT_Q_NOT_DIVIDES
             z = p ** (s - c + 1)
         step = ShrinkStep(q=q, branch=branch, p=p, c=c, s=s, m=m, z=z)
-    else:
+    else:  # primitive_prime's exceptional pair: q = 2, and no prime has order 2
         p = 2
         c = _nu_int(2, n)
         s = _nu_int(2, e)
@@ -327,18 +324,17 @@ def minimal_shrink_multiplier(built: ShrinkResult, *, cap: int = _MINIMAL_CAP) -
 # vanishing for primes of b - 1
 
 def vanish_threshold(n: int, b: int, p: int) -> int:
-    """Threshold T: the Midy set of p**t * n is empty for every t > T.
+    """Largest t with a nonempty Midy set for p**t * n, 0 when there is none.
 
-    For odd p (or b = 1 mod 4) this is the closed form s - nu_p(n) clamped at
-    zero, with s the p-part of the period length of the p-free part of n; the
-    set at T itself is then nonempty whenever the p-free part's set is.  For
-    p = 2 with b = 3 (mod 4) the block-count quotient absorbs extra twos.  A
-    set is nonempty exactly when its period length e is a member, and for
-    u >= 2 the twos of 2**u * core (core odd) let e in exactly when u is at
-    most top = _quotient_valuation(2, b, 1, 2**max(s, 1)); the other primes of
-    b - 1 do not depend on u.  So T = top - nu_2(n), clamped at zero, is the
-    true largest nonempty exponent when the set at 2**top * core is nonempty,
-    and T = 0 when every exponent is empty.
+    A Midy set is upward closed with top element its period length, so it is
+    empty exactly when that length is not a member, which ``_members`` decides
+    prime by prime.  Write the modulus as p**u * core, core p-free, with e the
+    period length of core and s = max(nu_p(e), 1 if p = 2 and b = 3 (mod 4)
+    else 0).  As p divides b - 1, p lets the period length in at
+    u = top = _quotient_valuation(p, b, 1, p**s), where its p-part is p**s, and
+    keeps it out for every u > top.  The primes of core let it in exactly when
+    they let e in, whatever u is.  So T = top - nu_p(n), clamped at zero, when
+    they let e in, and T = 0 otherwise.
     """
     if b < 2:
         raise MidyError(f"base must be >= 2, got {b}")
@@ -352,8 +348,7 @@ def vanish_threshold(n: int, b: int, p: int) -> int:
         raise MidyError(f"modulus {n} and base {b} are not coprime")
     a = _nu_int(p, n)
     core = n // p**a
-    s = _nu_int(p, _order_int(b, core))
-    if p != 2 or b % 4 == 1:
-        return max(0, s - a)
-    top = _quotient_valuation(2, b, 1, 2 ** max(s, 1))
-    return max(0, top - a) if midy_set(2**top * core, b).members else 0
+    e, _, orders = _prime_power_orders(b, core)
+    s = max(_nu_int(p, e), 1 if p == 2 and b % 4 == 3 else 0)
+    top = _quotient_valuation(p, b, 1, p**s)
+    return max(0, top - a) if _members(orders, b, e, [e]) else 0

@@ -97,6 +97,8 @@ def _suite(name: str):
                 report.instances += 1
                 if failure is not None:
                     report.failures.append(failure)
+            if not report.instances:  # a sweep that checks nothing must not pass
+                raise MidyError(f"suite {name} ran no instance with {report.params}")
             report.elapsed_ms = (perf_counter() - t0) * 1000.0
             return report
 

@@ -10,24 +10,17 @@ from time import perf_counter
 
 import pytest
 
-from midy.analyzer import (
-    cardinality_report,
-    check_midy,
-    midy_set,
-    multiplier,
-    prime_power_set,
-)
+from midy.analyzer import check_midy, midy_set, multiplier, prime_power_set
 from midy.cli import main
 from midy.constructor import primitive_prime, shrink, vanish_threshold
-from midy.ntcore import (
-    divisors,
-    lifted_order,
-    multiplicative_order,
-    primes_upto,
-    wieferich_level,
-)
+from midy.ntcore import divisors, lifted_order, multiplicative_order, wieferich_level
 from midy.period import blocks, expand, oracle_midy_sweep
-from midy.verify import oracle_records, sweep_primitive_prime
+from midy.verify import (
+    oracle_records,
+    sweep_order_lift,
+    sweep_prime_power,
+    sweep_primitive_prime,
+)
 
 DIGITS_1_49 = "020408163265306122448979591836734693877551"
 
@@ -103,32 +96,21 @@ def test_criterion_05_mode_equivalence(sweep_records):
 
 
 def test_criterion_06_prime_power_structure():
-    checked = 0
-    for p in primes_upto(50):
-        if p in (2, 5):
-            continue
-        for n in range(1, 5):
-            closed = prime_power_set(10, p, n)
-            direct = midy_set(p**n, 10)
-            assert closed.members == direct.members, (p, n)
-            assert closed.order == direct.order
-            card = cardinality_report(10, p, n)
-            assert card.disjoint
-            assert card.closed_form == len(direct.members)
-            checked += 1
+    # closed-form sets and counts against enumeration for every odd prime
+    # p <= 50 but 5 and n = 1..4
+    report = sweep_prime_power(10, 50, 4)
+    assert report.passed, report.failures[:5]
+    assert report.instances == 52
     assert prime_power_set(10, 7, 2).members == (2, 3, 6, 14, 21, 42)
-    _pass(6, f"{checked} prime-power cases match enumeration; all counts disjoint; "
+    _pass(6, f"{report.instances} prime-power cases match enumeration; all counts disjoint; "
              f"(p=7, n=2) reproduces the modulus-49 set")
 
 
 def test_criterion_07_order_lifting():
-    checked = 0
-    for p in primes_upto(50):
-        if p in (2, 5):
-            continue
-        for t in range(1, 5):
-            assert lifted_order(10, p, t) == multiplicative_order(10, p**t)
-            checked += 1
+    report = sweep_order_lift(10, 50, 4)
+    assert report.passed, report.failures[:5]
+    assert report.instances == 52
+    checked = report.instances
     assert wieferich_level(68, 113) == 3
     assert wieferich_level(42, 23) == 3
     for b, p in ((68, 113), (42, 23)):

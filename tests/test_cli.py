@@ -267,6 +267,28 @@ def test_verify_rejects_a_base_below_2(capsys, tmp_path):
             assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zsig", "--max-base", "1"],
+        ["zsig", "--max-order", "1"],
+        ["prime-power", "--max-p", "2"],
+        ["coset", "--max-n", "1"],
+        ["order-lift", "--max-exp", "0"],
+        ["product", "--max-product", "1"],
+        ["restrict", "--max-n", "1"],
+    ],
+)
+def test_verify_refuses_a_sweep_with_no_instance(capsys, tmp_path, argv):
+    # bounds that leave nothing to check are a domain error, never PASS (0 instances)
+    out = tmp_path / "report.json"
+    assert main(["verify", *argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: suite {argv[0]} ran no instance with {{")
+    assert not out.exists()
+
+
 def test_verify_unwritable_out_is_a_usage_error(capsys, monkeypatch, tmp_path):
     calls = _record_suite_calls(monkeypatch)
     out = tmp_path / "missing" / "report.json"

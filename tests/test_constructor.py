@@ -1,8 +1,9 @@
+import sys
 from math import gcd
 
 import pytest
 
-from midy import constructor, ntcore
+from midy import analyzer, constructor, ntcore
 from midy.analyzer import midy_set
 from midy.constructor import (
     BRANCH_C_GE_S_PLUS_1,
@@ -68,15 +69,28 @@ def test_primitive_prime_prime_cyclotomic_value_returned_directly(monkeypatch):
     # Phi_127(2) = 2**127 - 1 is prime, so it is the only prime of order 127;
     # no factorization of it or of p - 1 is needed to say so
     mersenne = 2**127 - 1
-    order_int = constructor._order_int
+    ntcore._order_int.cache_clear()  # so a cached order cannot bypass the guard
+    orders = ntcore._prime_power_orders
 
     def guarded(b, n):
         if n == mersenne:
             raise AssertionError("order of the prime cyclotomic value recomputed")
-        return order_int(b, n)
+        return orders(b, n)
 
-    monkeypatch.setattr(constructor, "_order_int", guarded)
+    _rebind_everywhere(monkeypatch, orders, guarded)
     assert primitive_prime(2, 127) == mersenne
+
+
+def _rebind_everywhere(monkeypatch, func, replacement):
+    # every module-level name bound to func, so no alias reaches it
+    bound = 0
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.split(".")[0] == "midy":
+            for name, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, name, replacement)
+                    bound += 1
+    assert bound, func
 
 
 def _smallest_of_order(b, n, candidates):
@@ -378,6 +392,27 @@ def test_shrink_carries_known_orders_and_factors(monkeypatch):
     assert not res.oracle_checked
 
 
+def test_shrink_asks_primitive_prime_for_the_exceptional_pair(monkeypatch):
+    # 3 + 1 = 2**2, so no prime has order 2 to base 3; primitive_prime says
+    # so, and the q = 2 step pins by 2 itself: nu_2(5) = 0 < nu_2(4) = 2
+    asked = []
+
+    def recorded(b, n, _inner=primitive_prime):
+        asked.append((b, n))
+        return _inner(b, n)
+
+    monkeypatch.setattr(constructor, "primitive_prime", recorded)
+    constructor._shrink_prime.cache_clear()
+    step = shrink_step(5, 3, 2)
+    assert asked == [(3, 2)]
+    assert (step.branch, step.p, step.c, step.s, step.z) == (BRANCH_Q2_S_GT_C, None, 0, 2, 4)
+    constructor._shrink_prime.cache_clear()
+    res = shrink(5, 3)
+    assert asked == [(3, 2), (3, 2)]
+    assert res.steps == (step,) and res.z == 4
+    assert res.final_set.members == (4,)
+
+
 def test_minimal_shrink_multiplier():
     smallest = minimal_shrink_multiplier(shrink(13, 10))
     assert smallest == 33
@@ -433,8 +468,8 @@ def test_vanish_sweep_semantics():
 
 
 def test_vanish_two_adic_fallback():
-    # base 3 mod 4: the odd closed form undershoots, and the 2-adic slack gives
-    # the top exponent, confirmed by one set: 4 = _quotient_valuation(2, 7, 1, 4)
+    # base 3 mod 4: the 2-adic slack lifts the top exponent past nu_2(e) = 2
+    # for n = 5: 4 = _quotient_valuation(2, 7, 1, 4)
     assert vanish_threshold(5, 7, 2) == 4
     assert vanish_threshold(1, 7, 2) == 3
     for t in (5, 6, 7):
@@ -447,10 +482,13 @@ def test_vanish_two_adic_fallback():
 
 def test_vanish_against_full_sweep():
     # exact semantics on a grid: nonempty at the threshold, empty beyond;
-    # bases 3 mod 4 take the 2-adic rule at p = 2, even n included
-    for b in (3, 5, 7, 10, 11, 15, 19, 23, 31, 63):
+    # bases 3 mod 4 take the 2-adic rule at p = 2, even n included, and n
+    # such as 38 (base 7, p = 3) or 15 (base 13, p = 2) carry more of another
+    # prime of b - 1 than the period length lets in
+    for b in (3, 5, 7, 10, 11, 13, 15, 19, 23, 31, 63):
         for p, _ in factorize(b - 1).factors:
-            for n in (1, 2, 3, 4, 7, 8, 9, 12, 13, 16, 20, 24, 40, 48):
+            for n in (1, 2, 3, 4, 7, 8, 9, 12, 13, 15, 16, 20, 22, 24, 35, 38, 39, 40, 48,
+                      218, 1216):
                 if gcd(n, b) != 1:
                     continue
                 tau = vanish_threshold(n, b, p)
@@ -461,16 +499,15 @@ def test_vanish_against_full_sweep():
 
 
 def test_vanish_builds_at_most_one_set(monkeypatch):
-    # the 2-adic case confirms its closed-form top with one set; the odd
-    # closed form builds none
+    # the threshold tests the period length of the p-free part with
+    # _members alone, so no Midy set is built for any p
     calls = []
+    for func in (analyzer.midy_set, analyzer._filtered_set):
+        def counted(*args, _inner=func):
+            calls.append((_inner.__name__, args[:2]))
+            return _inner(*args)
 
-    def counted(n, b, _inner=constructor.midy_set):
-        calls.append((n, b))
-        return _inner(n, b)
-
-    monkeypatch.setattr(constructor, "midy_set", counted)
-    for n, b, p, sets in ((5, 7, 2, 1), (1, 7, 2, 1), (20, 63, 2, 1), (13, 10, 3, 0), (3, 5, 2, 0)):
-        calls.clear()
+        _rebind_everywhere(monkeypatch, func, counted)
+    for n, b, p in ((5, 7, 2), (1, 7, 2), (20, 63, 2), (13, 10, 3), (3, 5, 2), (1216, 7, 3)):
         vanish_threshold(n, b, p)
-        assert len(calls) == sets, (n, b, p, calls)
+    assert calls == []

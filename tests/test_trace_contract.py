@@ -5,8 +5,8 @@ module-level name bound to them.  A call that reaches either cache another
 way (an alias captured in a default argument or a closure, or ``__wrapped__``)
 makes the cache's lookups differ from the span's calls, and a traced run
 whose outputs differ from an untraced one is wrong.  Both fail a traced
-benchmark run, so both are asserted here on a small big-query, set-table and
-shrink mix, in fresh isolated processes as the bench worker runs them.
+benchmark run, so both are asserted here on a small big-query, set-table,
+shrink and vanish mix, in fresh isolated processes as the bench worker runs them.
 """
 
 import json
@@ -19,9 +19,12 @@ ROOT = Path(__file__).resolve().parent.parent
 # two 52-bit semiprimes: Brent rho splits each, as in the big-query workload
 SEMIPRIMES = ((3, 60000011 * 45000017), (10, 66000007 * 67000019))
 WINDOW = (10**9 + 30 * 4321, 30)  # start and width of a set-table window
-# shrink inputs: the oracle re-checks the first three (z*n is 1023, 819 and
-# 20), (8, 7) is already the singleton, and the last two exceed the bound
-SHRINKS = ((11, 2), (13, 2), (5, 7), (8, 7), (49, 10), (1316833, 10))
+# shrink inputs: the oracle re-checks the first four (z*n is 1023, 819, 20
+# and 20; (5, 3) takes the q = 2 exceptional branch), (8, 7) is already the
+# singleton, and the last two exceed the bound
+SHRINKS = ((11, 2), (13, 2), (5, 7), (5, 3), (8, 7), (49, 10), (1316833, 10))
+# a vanish threshold whose other prime of b - 1 empties every set: prints 0
+VANISH = ["vanish", "--base", "7", "1216", "3"]
 
 SCRIPT = r"""
 import contextlib, io, json, sys
@@ -30,7 +33,7 @@ sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import midy.analyzer, midy.cli, midy.constructor
 from tracer import CACHES, Tracer
 
-semiprimes, (start, width), shrinks = json.loads(sys.argv[3])
+semiprimes, (start, width), shrinks, vanish = json.loads(sys.argv[3])
 tracer = None
 if sys.argv[4] == "traced":
     tracer = Tracer()
@@ -59,6 +62,7 @@ for n, b in shrinks:
     res = midy.constructor.shrink(n, b, oracle_bound=2000)
     steps = [[s.q, s.branch, s.p, s.z] for s in res.steps]
     outputs.append([n, b, res.z, list(res.final_set.members), res.oracle_checked, steps])
+outputs.append(cli(vanish))
 
 summary = None
 if tracer is not None:
@@ -74,7 +78,7 @@ print(json.dumps({"outputs": outputs, "caches": summary}))
 
 
 def _run(mode: str) -> dict:
-    args = json.dumps([SEMIPRIMES, WINDOW, SHRINKS])
+    args = json.dumps([SEMIPRIMES, WINDOW, SHRINKS, VANISH])
     done = subprocess.run(
         [sys.executable, "-I", "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "bench"), args, mode],
         capture_output=True, text=True, timeout=120, cwd=ROOT,
@@ -88,14 +92,16 @@ def test_traced_run_keeps_outputs_and_cache_lookups():
     assert traced["outputs"] == plain["outputs"]
     assert all(code == 0 for code, _ in traced["outputs"][:4])
     spans = traced["caches"].pop("spans")
-    assert spans["ntcore.factorize"] > 0 and spans["cli.main"] == 4
+    assert spans["ntcore.factorize"] > 0 and spans["cli.main"] == 5
+    assert traced["outputs"][-1] == [0, {"command": "vanish", "inputs": {
+        "base": 7, "n": 1216, "p": 3}, "result": 0, "oracle_checked": False}]
     # one set per CLI set command and per table row; shrink builds its sets
-    # from its own pass over n, not through midy_set
-    table = len(traced["outputs"]) - 4 - len(SHRINKS)
+    # from its own pass over n, and vanish builds none
+    table = len(traced["outputs"]) - 5 - len(SHRINKS)
     assert spans["analyzer.midy_set"] == 2 + table
     assert spans["constructor.shrink"] == len(SHRINKS)
-    shrunk = traced["outputs"][-len(SHRINKS) :]
-    assert [out[4] for out in shrunk] == [True, True, True, False, False, False]
-    assert traced["caches"].pop("rechecked") == 3
+    shrunk = traced["outputs"][-1 - len(SHRINKS) : -1]
+    assert [out[4] for out in shrunk] == [True, True, True, True, False, False, False]
+    assert traced["caches"].pop("rechecked") == 4
     for cache, (lookups, calls) in traced["caches"].items():
         assert lookups == calls, (cache, lookups, calls)
