@@ -26,7 +26,6 @@ from .ntcore import (
     _check_odd_prime,
     _check_pair,
     _checked_k,
-    _descend,
     _factor_pairs,
     _lifted,
     _nu_int,
@@ -131,29 +130,15 @@ def midy_set(n: int, b: int) -> MidySet:
 
     The period length comes factored, with the order of each prime of n, from
     one pass over n's prime powers; the divisors are then filtered prime by
-    prime.  The degenerate modulus 1 yields the empty set.
+    prime, here alone.  The set is upward closed: empty exactly when e is not
+    a member, and {e} exactly when e is and no e // q is, for the primes q of
+    e.  The degenerate modulus 1 yields the empty set.
     """
     if n != 1 or b < 2:  # the modulus 1 has period length 1 and no d to test
         _check_pair(b, n)
     e, e_pairs, orders = _prime_power_orders(b, n)
-    return _filtered_set(n, b, e, e_pairs, orders)
-
-
-def _known_set(n: int, pairs, b: int, e: int, e_pairs) -> MidySet:
-    """midy_set of n given its factor pairs, its period length e and e's pairs.
-
-    Only here do prime orders come by descent from e, not from p - 1: shrink's
-    re-check carries primes, such as the repunit R_1031, whose p - 1 is out of reach.
-    """
-    orders = [(p, a, _descend(b, p, e, e_pairs)) for p, a in pairs]
-    return _filtered_set(n, b, e, e_pairs, orders)
-
-
-def _filtered_set(n: int, b: int, e: int, e_pairs, orders) -> MidySet:
-    """The Midy set of n from e, e's factor pairs and the orders of n's primes."""
     candidates = Factorization(e, e_pairs).divisors()[1:]  # every divisor but 1
-    members = tuple(_members(orders, b, e, candidates))
-    return MidySet(modulus=n, base=b, order=e, members=members)
+    return MidySet(modulus=n, base=b, order=e, members=tuple(_members(orders, b, e, candidates)))
 
 
 def multiplier(n: int, b: int, d: int) -> int:

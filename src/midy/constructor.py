@@ -12,17 +12,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .analyzer import MidySet, _filtered_set, _known_set, _members, _quotient_valuation
+from .analyzer import MidySet, _members, _quotient_valuation
 from .ntcore import (
     MidyError,
+    _check_base,
     _check_pair,
     _descend,
     _factor_pairs,
     _lifting_level,
     _nu_int,
     _prime_power_orders,
-    divisors,
-    factorize,
     is_prime,
 )
 from .period import oracle_confirm
@@ -64,8 +63,7 @@ def primitive_prime(
     e.g. 2**127 - 1 for base 2 and n = 127 sits beyond any reasonable scan),
     and otherwise finishes the scan to ``limit`` before giving up.
     """
-    if b < 2:
-        raise MidyError(f"base must be >= 2, got {b}")
+    _check_base(b)
     if n < 2:
         raise MidyError(f"target order must be >= 2, got {n}")
     if n == 2 and _is_power_of_two(b + 1):
@@ -111,22 +109,17 @@ def _primitive_scan(b: int, n: int, limit: int, value: int) -> int:
     raise MidyError(f"no prime of order {n} for base {b} below {limit}; raise the limit")
 
 
-def _mobius(n: int) -> int:
-    mu = 1
-    for _, e in factorize(n).factors:
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
 def _cyclotomic_value(n: int, b: int) -> int:
+    # prod of (b**d - 1)**mu(n // d) over d | n; mu vanishes unless n // d is
+    # squarefree, so d runs over n divided by each product of n's distinct primes
+    terms = [(n, 1)]
+    for p, _ in _factor_pairs(n):
+        terms += [(d // p, -mu) for d, mu in terms]
     num = den = 1
-    for d in divisors(n):
-        mu = _mobius(n // d)
+    for d, mu in terms:
         if mu == 1:
             num *= b**d - 1
-        elif mu == -1:
+        else:
             den *= b**d - 1
     value, rem = divmod(num, den)
     if rem:  # unreachable: the product telescopes exactly
@@ -135,7 +128,7 @@ def _cyclotomic_value(n: int, b: int) -> int:
 
 
 def _primitive_cyclotomic(b: int, n: int, value: int) -> int:
-    for p, _ in factorize(value).factors:  # ascending
+    for p, _ in _factor_pairs(value):  # ascending
         if n % p:
             return p
     raise MidyError(f"no prime of order {n} divides the cyclotomic value at {b}")
@@ -175,12 +168,22 @@ class ShrinkResult:
         return self.z * self.modulus
 
 
+def _top(orders, b: int, e: int, e_pairs) -> list[int]:
+    """The members among e and its maximal divisors e // q >= 2, e first.
+
+    The set is upward closed among the divisors of e: it is empty when e is
+    missing here, pinned at q when e // q is, and {e} when this is [e].
+    """
+    return _members(orders, b, e, [d for d in (e, *(e // q for q, _ in e_pairs)) if d >= 2])
+
+
 def shrink_step(n: int, b: int, q: int) -> ShrinkStep:
     """Multiplier z for one prime q of the period length e.
 
     After passing to z*n the period keeps its length, the Midy set stays
-    nonempty, and every member d has nu_q(d) = nu_q(e).  All three properties
-    are re-verified on z*n before the step is returned.
+    nonempty, and every member d has nu_q(d) = nu_q(e).  The set is upward
+    closed, so these say: e is a member and e // q is not.  All three are
+    re-verified on z*n before the step is returned.
     """
     _check_pair(b, n)
     if not is_prime(q):
@@ -188,13 +191,13 @@ def shrink_step(n: int, b: int, q: int) -> ShrinkStep:
     e, e_pairs, orders = _prime_power_orders(b, n)
     if e % q:
         raise MidyError(f"{q} does not divide the period length {e}")
-    if not _filtered_set(n, b, e, e_pairs, orders).members:
+    if not _members(orders, b, e, [e]):
         raise MidyError(f"the Midy set of {n} to base {b} is empty; nothing to pin")
     return _step(n, _factor_pairs(n), b, q, e, e_pairs)[0]
 
 
-def _step(n: int, pairs, b: int, q: int, e: int, e_pairs) -> tuple[ShrinkStep, tuple, MidySet]:
-    """shrink_step on a modulus whose factor pairs are known, with z*n's pairs and set.
+def _step(n: int, pairs, b: int, q: int, e: int, e_pairs) -> tuple[ShrinkStep, tuple, list[int]]:
+    """shrink_step on a modulus whose factor pairs are known, with z*n's pairs and ``_top``.
 
     e is the period length of n and e_pairs its factor pairs.  The auxiliary
     prime p has order q by construction, which gives its lifting level and
@@ -242,20 +245,20 @@ def _step(n: int, pairs, b: int, q: int, e: int, e_pairs) -> tuple[ShrinkStep, t
     return step, pairs, _verify_step(z * n, pairs, b, q, e, e_pairs)
 
 
-def _verify_step(zn: int, pairs, b: int, q: int, e: int, e_pairs) -> MidySet:
-    """Re-check a step on the grown modulus zn and return its Midy set."""
+def _verify_step(zn: int, pairs, b: int, q: int, e: int, e_pairs) -> list[int]:
+    """Re-check a step on zn, period e, e a member, e // q not, and return its ``_top``.
+
+    Only here do prime orders come by descent from e, not from p - 1: the re-check
+    carries primes, such as the repunit R_1031, whose p - 1 is out of reach.
+    """
     if pow(b, e, zn) != 1 or _descend(b, zn, e, e_pairs) != e:
         raise MidyError(f"shrink step for q={q} changed the period length; construction bug")
-    shrunk = _known_set(zn, pairs, b, e, e_pairs)
-    if not shrunk.members:
+    top = _top([(p, a, _descend(b, p, e, e_pairs)) for p, a in pairs], b, e, e_pairs)
+    if e not in top:
         raise MidyError(f"shrink step for q={q} emptied the Midy set; construction bug")
-    pin = _nu_int(q, e)
-    for d in shrunk.members:
-        if _nu_int(q, d) != pin:
-            raise MidyError(
-                f"shrink step for q={q} left member {d} unpinned; construction bug"
-            )
-    return shrunk
+    if e // q in top:
+        raise MidyError(f"shrink step for q={q} left member {e // q} unpinned; construction bug")
+    return top
 
 
 def shrink(n: int, b: int, *, oracle_bound: int = _ORACLE_BOUND) -> ShrinkResult:
@@ -263,33 +266,36 @@ def shrink(n: int, b: int, *, oracle_bound: int = _ORACLE_BOUND) -> ShrinkResult
 
     Runs one shrink step per prime of the period length, feeding the grown
     modulus forward together with its factorization, which each step extends
-    by its own prime, so no step factors the grown modulus again.  The final
-    set is the one the last step's fast re-check built and, when z*n stays
-    within oracle_bound, is re-checked against the digit oracle.  That costs
-    about phi(z*n) long-division steps, one digit per unit numerator, plus one
+    by its own prime, so no step factors the grown modulus again.  The set is
+    upward closed, so ``_top`` reads off e and each e // q whether it is empty
+    or {e}, for n and then z*n, listing no divisor of e.  When z*n stays within
+    oracle_bound the singleton is re-checked against the digit oracle: about
+    phi(z*n) long-division steps, one digit per unit numerator, plus one
     block-sum update per numerator for each divisor not yet refuted.  A set
     that is already the singleton returns z = 1 untouched, with no re-check.
     """
     _check_pair(b, n)
     e, e_pairs, orders = _prime_power_orders(b, n)
-    start = _filtered_set(n, b, e, e_pairs, orders)
-    if not start.members:
+    top = _top(orders, b, e, e_pairs)
+    if e not in top:
         raise MidyError(
             f"the Midy set of {n} to base {b} is empty; no multiplier can collapse it"
         )
-    if start.members == (e,):
+    if top == [e]:
         return ShrinkResult(
-            modulus=n, base=b, steps=(), z=1, final_set=start, oracle_checked=False
+            modulus=n, base=b, steps=(), z=1, final_set=MidySet(n, b, e, (e,)),
+            oracle_checked=False,
         )
     pairs = _factor_pairs(n)
     steps = []
     current = n
     for q, _ in e_pairs:
-        step, pairs, final = _step(current, pairs, b, q, e, e_pairs)
+        step, pairs, top = _step(current, pairs, b, q, e, e_pairs)
         steps.append(step)
         current *= step.z
-    if final.members != (e,):
+    if top != [e]:
         raise MidyError("shrink did not collapse the set to the singleton; construction bug")
+    final = MidySet(current, b, e, (e,))
     oracle_checked = current <= oracle_bound
     if oracle_checked:
         oracle_confirm(current, b, final.members)
@@ -305,7 +311,7 @@ def minimal_shrink_multiplier(built: ShrinkResult, *, cap: int = _MINIMAL_CAP) -
     The construction makes no minimality promise; this sweep is for small
     inputs only and refuses to run when the constructed z exceeds ``cap``.
     Each candidate's orders come from one uncached pass over its prime powers,
-    and its set is built only when its period length is e.
+    and when its period length is e, ``_top`` decides whether its set is {e}.
     """
     n, b = built.modulus, built.base
     e = built.final_set.order
@@ -315,7 +321,7 @@ def minimal_shrink_multiplier(built: ShrinkResult, *, cap: int = _MINIMAL_CAP) -
         if gcd(cand, b) != 1:
             continue
         order, e_pairs, orders = _prime_power_orders(b, cand * n)
-        if order == e and _filtered_set(cand * n, b, e, e_pairs, orders).members == (e,):
+        if order == e and _top(orders, b, e, e_pairs) == [e]:
             return cand
     return built.z
 
@@ -336,8 +342,7 @@ def vanish_threshold(n: int, b: int, p: int) -> int:
     they let e in, whatever u is.  So T = top - nu_p(n), clamped at zero, when
     they let e in, and T = 0 otherwise.
     """
-    if b < 2:
-        raise MidyError(f"base must be >= 2, got {b}")
+    _check_base(b)
     if not is_prime(p):
         raise MidyError(f"{p} is not prime")
     if (b - 1) % p:

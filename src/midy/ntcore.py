@@ -252,9 +252,13 @@ def _order_int(b: int, n: int) -> int:
     return _prime_power_orders(b, n)[0]
 
 
-def _check_pair(b: int, n: int) -> None:
+def _check_base(b: int) -> None:
     if b < 2:
         raise MidyError(f"base must be >= 2, got {b}")
+
+
+def _check_pair(b: int, n: int) -> None:
+    _check_base(b)
     if n < 2:
         raise MidyError(f"modulus must be >= 2, got {n}")
     if gcd(b, n) != 1:
@@ -279,8 +283,7 @@ def multiplicative_order(b: int, n: int) -> int:
 
 
 def _check_odd_prime(b: int, p: int, t: int = 1) -> None:
-    if b < 2:
-        raise MidyError(f"base must be >= 2, got {b}")
+    _check_base(b)
     if p == 2 or not is_prime(p):
         raise MidyError(f"{p} must be an odd prime")
     if b % p == 0:

@@ -34,6 +34,7 @@ from .analyzer import (
 from .constructor import _is_power_of_two, primitive_prime
 from .ntcore import (
     MidyError,
+    _check_base,
     _order_int,
     divisors,
     lifted_order,
@@ -89,8 +90,7 @@ def _suite(name: str):
         def run(*args, **kwargs):
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
-            if bound.arguments.get("base", 2) < 2:
-                raise MidyError(f"base must be >= 2, got {bound.arguments['base']}")
+            _check_base(bound.arguments.get("base", 2))
             t0 = perf_counter()
             report = SweepReport(name, dict(bound.arguments), 0)
             for failure in sweep(*args, **kwargs):

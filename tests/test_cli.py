@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import inspect
 import json
@@ -250,6 +251,24 @@ def test_verify_command(capsys, tmp_path):
 
     assert main(["verify", "coset", "--max-n", "40"]) == 0
     assert capsys.readouterr().out.startswith("PASS")
+
+
+def test_verify_reports_a_failed_sweep(capsys, monkeypatch, tmp_path):
+    # flip the gcd-form reference on d = 2 only: the sweep fails on some of
+    # those instances and no others, exits 1, and names the first one in text and report
+    def flipped(n, b, d, _inner=verify.check_midy_gcd):
+        verdict = _inner(n, b, d)
+        return dataclasses.replace(verdict, member=not verdict.member) if d == 2 else verdict
+
+    monkeypatch.setattr(verify, "check_midy_gcd", flipped)
+    out = tmp_path / "report.json"
+    assert main(["verify", "gcd-form", "--max-n", "30", "--out", str(out)]) == 1
+    saved = json.loads(out.read_text())
+    assert saved["passed"] is False
+    failures, k, total = saved["failures"], saved["failure_count"], saved["instances"]
+    assert 0 < k == len(failures) < total
+    assert all(failure["d"] == 2 for failure in failures)
+    assert capsys.readouterr().out == f"FAIL ({k} of {total} instances), first: {failures[0]}\n"
 
 
 def test_verify_rejects_a_base_below_2(capsys, tmp_path):

@@ -93,6 +93,22 @@ def _rebind_everywhere(monkeypatch, func, replacement):
     assert bound, func
 
 
+def _watch_listings(monkeypatch, hook):
+    # midy_set at every binding, and Factorization.divisors, which every
+    # listing of divisors goes through, call hook(name, args) first
+    def watched(func):
+        def wrapper(*args, _inner=func):
+            hook(func.__name__, args)
+            return _inner(*args)
+
+        return wrapper
+
+    _rebind_everywhere(monkeypatch, analyzer.midy_set, watched(analyzer.midy_set))
+    monkeypatch.setattr(
+        ntcore.Factorization, "divisors", watched(ntcore.Factorization.divisors)
+    )
+
+
 def _smallest_of_order(b, n, candidates):
     # candidates: the primes p = 1 (mod n) up to the limit, ascending
     for p in candidates:
@@ -254,7 +270,12 @@ def test_shrink_step_rejects_bad_args():
     with pytest.raises(MidyError):
         shrink_step(13, 10, 4)  # not prime
     with pytest.raises(MidyError):
-        shrink_step(9, 10, 2)  # empty Midy set (period length 1)
+        shrink_step(9, 10, 2)  # 2 does not divide the period length 1
+    # 117 = 9 * 13 has period length 6, but 9 carries more threes than 6 lets in
+    assert multiplicative_order(10, 117) == 6 and midy_set(117, 10).members == ()
+    with pytest.raises(MidyError) as exc:
+        shrink_step(117, 10, 2)
+    assert str(exc.value) == "the Midy set of 117 to base 10 is empty; nothing to pin"
 
 
 def test_verify_step_rejects_broken_steps():
@@ -289,6 +310,26 @@ def test_shrink_singleton_short_circuit():
     assert not res.oracle_checked  # returned before any re-check
     res8 = shrink(8, 7)
     assert res8.z == 1  # M_7(8) = {2} is already the singleton {e}
+
+
+def test_shrink_lists_no_divisor(monkeypatch):
+    # emptiness, pinning and collapse are read off e and its e // q with
+    # _members, so with midy_set and Factorization.divisors refusing to run,
+    # shrink, its steps, the minimal sweep and the threshold give the same answers
+    cases = ((13, 10), (49, 10), (1316833, 10), (643, 2), (5, 3))
+    qs = {(n, b): [q for q, _ in factorize(multiplicative_order(b, n)).factors] for n, b in cases}
+    want = {(n, b): shrink(n, b, oracle_bound=0) for n, b in cases}
+    want_steps = {(n, b, q): shrink_step(n, b, q) for n, b in cases for q in qs[n, b]}
+
+    def refuse(name, args):
+        raise AssertionError(f"{name} called on {args}")
+
+    _watch_listings(monkeypatch, refuse)
+    constructor._shrink_prime.cache_clear()  # so the prime searches run guarded too
+    assert {(n, b): shrink(n, b, oracle_bound=0) for n, b in cases} == want
+    assert {(n, b, q): shrink_step(n, b, q) for n, b in cases for q in qs[n, b]} == want_steps
+    assert minimal_shrink_multiplier(shrink(13, 10, oracle_bound=0)) == 33
+    assert vanish_threshold(1216, 7, 3) == 0
 
 
 def test_shrink_rejects_empty_set():
@@ -456,6 +497,12 @@ def test_vanish_rejects_bad_p():
         vanish_threshold(13, 10, 9)  # not prime
     with pytest.raises(MidyError):
         vanish_threshold(3, 6, 5)  # modulus shares a factor with the base
+    with pytest.raises(MidyError) as exc:
+        vanish_threshold(13, 1, 2)
+    assert str(exc.value) == "base must be >= 2, got 1"
+    with pytest.raises(MidyError) as exc:
+        vanish_threshold(0, 10, 3)
+    assert str(exc.value) == "modulus must be >= 1, got 0"
 
 
 def test_vanish_sweep_semantics():
@@ -500,14 +547,9 @@ def test_vanish_against_full_sweep():
 
 def test_vanish_builds_at_most_one_set(monkeypatch):
     # the threshold tests the period length of the p-free part with
-    # _members alone, so no Midy set is built for any p
+    # _members alone, so no Midy set is built and no divisor listed for any p
     calls = []
-    for func in (analyzer.midy_set, analyzer._filtered_set):
-        def counted(*args, _inner=func):
-            calls.append((_inner.__name__, args[:2]))
-            return _inner(*args)
-
-        _rebind_everywhere(monkeypatch, func, counted)
+    _watch_listings(monkeypatch, lambda name, args: calls.append((name, args)))
     for n, b, p in ((5, 7, 2), (1, 7, 2), (20, 63, 2), (13, 10, 3), (3, 5, 2), (1216, 7, 3)):
         vanish_threshold(n, b, p)
     assert calls == []
