@@ -17,7 +17,7 @@ prime's box in turn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .ntcore import (
@@ -35,34 +35,29 @@ from .ntcore import (
 )
 
 
-@dataclass(frozen=True)
-class FailureCertificate:
-    """Witness prime against membership: the modulus carries more of it than d absorbs."""
+class FailureCertificate(
+    namedtuple("FailureCertificate", "prime nu_modulus nu_d two_adic_slack", defaults=(0,))
+):
+    """Witness prime against membership: the modulus carries more of it than d absorbs.
 
-    prime: int
-    nu_modulus: int
-    nu_d: int
-    two_adic_slack: int = 0  # extra absorption at p = 2; zero at odd primes
+    ``two_adic_slack`` is the extra absorption at p = 2; zero at odd primes.
+    """
 
-
-@dataclass(frozen=True)
-class MidyVerdict:
-    modulus: int
-    base: int
-    d: int
-    k: int
-    member: bool
-    certificate: FailureCertificate | None = None
+    __slots__ = ()
 
 
-@dataclass
-class MidySet:
+class MidyVerdict(
+    namedtuple("MidyVerdict", "modulus base d k member certificate", defaults=(None,))
+):
+    """Membership of d, with a FailureCertificate when d is not a member."""
+
+    __slots__ = ()
+
+
+class MidySet(namedtuple("MidySet", "modulus base order members")):
     """All block counts d for which the modulus has the block-sum property."""
 
-    modulus: int
-    base: int
-    order: int
-    members: tuple[int, ...]
+    __slots__ = ()
 
     def __contains__(self, d: int) -> bool:
         return d in self.members
@@ -162,16 +157,10 @@ def multiplier(n: int, b: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 # coset structure of the powers of b
 
-@dataclass(frozen=True)
-class CosetDecomposition:
+class CosetDecomposition(namedtuple("CosetDecomposition", "modulus base k1 k2 c cosets")):
     """The cyclic group <b**k2> mod n written as c translates of <b**k1>."""
 
-    modulus: int
-    base: int
-    k1: int
-    k2: int
-    c: int
-    cosets: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def union(self) -> frozenset[int]:
         out: set[int] = set()
@@ -227,13 +216,10 @@ def prime_power_set(b: int, p: int, n: int) -> MidySet:
     return MidySet(modulus=p**n, base=b, order=order, members=members)
 
 
-@dataclass(frozen=True)
-class CardinalityReport:
+class CardinalityReport(namedtuple("CardinalityReport", "closed_form actual disjoint")):
     """Closed-form size of a prime-power Midy set next to the enumerated truth."""
 
-    closed_form: int
-    actual: int
-    disjoint: bool
+    __slots__ = ()
 
 
 def cardinality_report(b: int, p: int, n: int) -> CardinalityReport:
@@ -248,15 +234,10 @@ def cardinality_report(b: int, p: int, n: int) -> CardinalityReport:
 # ---------------------------------------------------------------------------
 # products and restriction
 
-@dataclass(frozen=True)
-class RestrictionReport:
+class RestrictionReport(namedtuple("RestrictionReport", "n1 n2 base candidates violations")):
     """Members of the larger modulus restricted to a divisor of it."""
 
-    n1: int
-    n2: int
-    base: int
-    candidates: tuple[int, ...]
-    violations: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:

@@ -9,11 +9,9 @@ verification, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
-from dataclasses import asdict
 from functools import cache
 from time import perf_counter
 
@@ -65,7 +63,17 @@ def _cmd_period(args):
     return _inputs(args), result, lines, False
 
 
+def _check_oracle_bound(args) -> None:
+    """Refuse --oracle, about phi(n) digit steps, above shrink's re-check bound."""
+    if args.oracle and args.n > constructor._ORACLE_BOUND:
+        raise MidyError(
+            f"--oracle takes about phi(n) digit steps; n = {args.n} is above its bound "
+            f"{constructor._ORACLE_BOUND}"
+        )
+
+
 def _cmd_set(args):
+    _check_oracle_bound(args)
     ms = analyzer.midy_set(args.n, args.base)
     result = {"order": ms.order, "members": list(ms.members)}
     lines = [
@@ -86,12 +94,13 @@ def _cmd_set(args):
 
 
 def _cmd_check(args):
+    _check_oracle_bound(args)
     verdict = analyzer.check_midy(args.n, args.base, args.d)
     result = {"member": verdict.member, "k": verdict.k}
     lines = [f"d={args.d}: {'member' if verdict.member else 'not a member'} (k={verdict.k})"]
     if verdict.certificate is not None:
         cert = verdict.certificate
-        result["certificate"] = asdict(cert)
+        result["certificate"] = cert._asdict()
         lines.append(
             f"witness prime {cert.prime}: nu(modulus)={cert.nu_modulus} "
             f"> nu(d)={cert.nu_d} + slack {cert.two_adic_slack}"
@@ -111,7 +120,7 @@ def _cmd_shrink(args):
         "shrunk_modulus": result_obj.shrunk_modulus,
         "final_members": list(result_obj.final_set.members),
         "order": result_obj.final_set.order,
-        "steps": [asdict(s) for s in result_obj.steps],
+        "steps": [s._asdict() for s in result_obj.steps],
     }
     lines = [
         f"z = {result_obj.z}",
@@ -151,6 +160,8 @@ def _flag(name: str) -> str:
 
 
 def _cmd_verify(args):
+    import inspect  # the one command that reads signatures; the others skip the import
+
     suite = verify.SUITES[args.suite]
     # pass the bound flags given; the suite's own defaults fill the rest
     params = inspect.signature(suite).parameters

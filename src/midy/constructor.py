@@ -8,7 +8,7 @@ re-verified on the grown modulus before it is trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
@@ -137,31 +137,23 @@ def _primitive_cyclotomic(b: int, n: int, value: int) -> int:
 # ---------------------------------------------------------------------------
 # shrink
 
-@dataclass(frozen=True)
-class ShrinkStep:
+class ShrinkStep(namedtuple("ShrinkStep", "q branch p c s m z")):
     """One per-prime multiplier pinning nu_q of every surviving member to nu_q(e).
 
-    p is the auxiliary prime of order q (absent on the q = 2 exceptional
+    p is the auxiliary prime of order q (None on the q = 2 exceptional
     branches); c = nu_p(n), s = nu_p(e), m the lifting level of (b, p).
     """
 
-    q: int
-    branch: str
-    p: int | None
-    c: int
-    s: int
-    m: int | None
-    z: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ShrinkResult:
-    modulus: int
-    base: int
-    steps: tuple[ShrinkStep, ...]
-    z: int
-    final_set: MidySet
-    oracle_checked: bool  # whether the digit oracle re-checked final_set
+class ShrinkResult(namedtuple("ShrinkResult", "modulus base steps z final_set oracle_checked")):
+    """The multiplier z built from one ShrinkStep per prime of the period length.
+
+    ``oracle_checked`` tells whether the digit oracle re-checked ``final_set``.
+    """
+
+    __slots__ = ()
 
     @property
     def shrunk_modulus(self) -> int:

@@ -6,7 +6,7 @@ arguments; the lru caches are transparent (idempotent, safe under races).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
@@ -149,12 +149,13 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """A positive integer with its prime factorization, primes ascending."""
+class Factorization(namedtuple("Factorization", "value factors")):
+    """A positive integer with its prime factorization, primes ascending.
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    ``factors`` holds the (prime, exponent) pairs.
+    """
+
+    __slots__ = ()
 
     def divisors(self) -> tuple[int, ...]:
         out = [1]

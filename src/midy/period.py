@@ -10,34 +10,26 @@ Each numerator's exact block sum then follows from its predecessor's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .ntcore import MidyError, _check_pair, _checked_k, _order_int, divisors
 
 
-@dataclass(frozen=True)
-class PeriodExpansion:
+class PeriodExpansion(namedtuple("PeriodExpansion", "numerator modulus base digits")):
     """One full period of numerator/modulus written in the given base."""
 
-    numerator: int
-    modulus: int
-    base: int
-    digits: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def period_length(self) -> int:
         return len(self.digits)
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(namedtuple("BlockDecomposition", "d k blocks block_sum")):
     """A period cut into d blocks of k digits, each block read as a base-b integer."""
 
-    d: int
-    k: int
-    blocks: tuple[int, ...]
-    block_sum: int
+    __slots__ = ()
 
 
 def _check_fraction(x: int, n: int, b: int) -> None:

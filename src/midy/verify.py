@@ -14,8 +14,6 @@ become ``params``, every yield counts one instance, and the run is timed.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import asdict, dataclass, field
 from functools import wraps
 from math import gcd
 from time import perf_counter
@@ -44,13 +42,18 @@ from .ntcore import (
 from .period import oracle_midy_sweep
 
 
-@dataclass
 class SweepReport:
-    suite: str
-    params: dict
-    instances: int
-    failures: list[dict] = field(default_factory=list)
-    elapsed_ms: float = 0.0
+    """One sweep's bound arguments, instance count, failures and wall time.
+
+    The suite runner counts into it as the sweep yields, so it stays mutable.
+    """
+
+    def __init__(self, suite: str, params: dict, instances: int) -> None:
+        self.suite = suite
+        self.params = params
+        self.instances = instances
+        self.failures: list[dict] = []
+        self.elapsed_ms = 0.0
 
     @property
     def passed(self) -> bool:
@@ -84,11 +87,11 @@ def _suite(name: str):
     """
 
     def register(sweep):
-        signature = inspect.signature(sweep)
-
         @wraps(sweep)
         def run(*args, **kwargs):
-            bound = signature.bind(*args, **kwargs)
+            import inspect  # bound at call time, so importing the CLI skips inspect
+
+            bound = inspect.signature(sweep).bind(*args, **kwargs)
             bound.apply_defaults()
             _check_base(bound.arguments.get("base", 2))
             t0 = perf_counter()
@@ -276,6 +279,12 @@ def sweep_even_multiplier(base: int = 10, max_n: int = 500):
             yield None if m == d // 2 else {"n": n, "d": d, "multiplier": m}
 
 
+def _verdict_dict(verdict) -> dict:
+    """A MidyVerdict as a JSON object, its certificate a nested object too."""
+    cert = verdict.certificate
+    return {**verdict._asdict(), "certificate": None if cert is None else cert._asdict()}
+
+
 @_suite("gcd-form")
 def sweep_gcd_form(base: int = 10, max_n: int = 500):
     """Prime-sweep verdicts, certificates included, against the block-sum gcd form.
@@ -290,7 +299,7 @@ def sweep_gcd_form(base: int = 10, max_n: int = 500):
             cert = lhs.certificate
             ok = lhs == rhs and (cert is None or pow(base, lhs.k, cert.prime) == 1)
             yield None if ok else {
-                "n": n, "d": d, "prime_form": asdict(lhs), "gcd_form": asdict(rhs)
+                "n": n, "d": d, "prime_form": _verdict_dict(lhs), "gcd_form": _verdict_dict(rhs)
             }
 
 

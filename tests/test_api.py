@@ -1,5 +1,6 @@
 import inspect
-from dataclasses import fields
+
+import pytest
 
 import midy
 from midy import analyzer, constructor, ntcore, period
@@ -23,8 +24,52 @@ def test_library_public_names_are_all_exported():
 
 
 def test_records_carry_only_read_fields():
-    assert [f.name for f in fields(midy.MidySet)] == ["modulus", "base", "order", "members"]
-    assert [f.name for f in fields(midy.ShrinkStep)] == ["q", "branch", "p", "c", "s", "m", "z"]
+    assert midy.MidySet._fields == ("modulus", "base", "order", "members")
+    assert midy.ShrinkStep._fields == ("q", "branch", "p", "c", "s", "m", "z")
     public = [name for name in vars(midy.Factorization) if not name.startswith("_")]
     assert public == ["divisors"]
     assert type(midy.multiplicative_order(10, 13)) is int
+
+
+# every public record: field names in order and their defaults
+RECORDS = {
+    "Factorization": ("value factors", {}),
+    "FailureCertificate": ("prime nu_modulus nu_d two_adic_slack", {"two_adic_slack": 0}),
+    "MidyVerdict": ("modulus base d k member certificate", {"certificate": None}),
+    "MidySet": ("modulus base order members", {}),
+    "CosetDecomposition": ("modulus base k1 k2 c cosets", {}),
+    "CardinalityReport": ("closed_form actual disjoint", {}),
+    "RestrictionReport": ("n1 n2 base candidates violations", {}),
+    "PeriodExpansion": ("numerator modulus base digits", {}),
+    "BlockDecomposition": ("d k blocks block_sum", {}),
+    "ShrinkStep": ("q branch p c s m z", {}),
+    "ShrinkResult": ("modulus base steps z final_set oracle_checked", {}),
+}
+
+
+def test_records_are_immutable_named_tuples():
+    classes = {
+        name for name in midy.__all__
+        if isinstance(getattr(midy, name), type) and not issubclass(getattr(midy, name), Exception)
+    }
+    assert classes == set(RECORDS)
+    built = midy.shrink(13, 10)
+    verdict = midy.check_midy(49, 10, 7)
+    expansion = midy.expand(1, 13, 10)
+    instances = [
+        midy.factorize(12), verdict.certificate, verdict, midy.midy_set(13, 10),
+        midy.coset_decompose(13, 10, 2, 1), midy.cardinality_report(10, 3, 2),
+        midy.restrict_set(7, 49, 10), expansion, midy.blocks(expansion, 3),
+        built.steps[0], built,
+    ]
+    assert [type(record).__name__ for record in instances] == list(RECORDS)
+    for record in instances:
+        name = type(record).__name__
+        fields, defaults = RECORDS[name]
+        assert record._fields == tuple(fields.split()), name
+        assert record._field_defaults == defaults, name
+        shown = ", ".join(f"{f}={getattr(record, f)!r}" for f in record._fields)
+        assert repr(record) == f"{name}({shown})"
+        for attribute in (record._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, attribute, 0)

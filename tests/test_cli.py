@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import inspect
 import json
@@ -161,6 +160,47 @@ def test_check_oracle_large_modulus(capsys):
     assert doc["oracle_checked"] is True
 
 
+def test_oracle_flag_refuses_a_modulus_above_its_bound(capsys, monkeypatch):
+    # the oracle takes about phi(n) digit steps: above shrink's re-check bound
+    # the flag fails at once, and without it the fast answer still stands
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle_midy_sweep called")
+
+    monkeypatch.setattr(period, "oracle_midy_sweep", refuse)
+    bound = constructor._ORACLE_BOUND
+    n = "1000003"  # prime, period length 166667
+    for argv in (["set", "--base", "10", n], ["check", "--base", "10", n, "166667"]):
+        assert main(argv + ["--oracle"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --oracle takes about phi(n) digit steps; n = {n} is above its bound {bound}\n"
+        )
+        assert main(argv) == 0
+
+
+def test_json_records_stay_objects(capsys, monkeypatch):
+    _, doc = run_json(capsys, ["check", "--base", "10", "49", "7"])
+    assert doc["result"]["certificate"] == {
+        "prime": 7, "nu_modulus": 2, "nu_d": 1, "two_adic_slack": 0
+    }
+    # a forced gcd-form failure nests each verdict's certificate as an object
+    def flipped(n, b, d, _inner=verify.check_midy_gcd):
+        verdict = _inner(n, b, d)
+        return verdict._replace(member=not verdict.member) if d == 2 else verdict
+
+    monkeypatch.setattr(verify, "check_midy_gcd", flipped)
+    _, doc = run_json(capsys, ["verify", "gcd-form", "--max-n", "40"])
+    failure = next(f for f in doc["result"]["failures"] if f["n"] == 39)
+    assert failure["prime_form"]["certificate"] == {
+        "prime": 3, "nu_modulus": 1, "nu_d": 0, "two_adic_slack": 0
+    }
+    _, doc = run_json(capsys, ["shrink", "--base", "10", "13"])
+    branch = constructor.BRANCH_P_NOT_DIVIDING
+    assert doc["result"]["steps"] == [
+        {"q": 2, "branch": branch, "p": 11, "c": 0, "s": 0, "m": 1, "z": 11},
+        {"q": 3, "branch": branch, "p": 37, "c": 0, "s": 0, "m": 1, "z": 37},
+    ]
+
+
 def test_shrink_command(capsys):
     code, doc = run_json(capsys, ["shrink", "--base", "10", "13"])
     assert code == 0
@@ -258,7 +298,7 @@ def test_verify_reports_a_failed_sweep(capsys, monkeypatch, tmp_path):
     # those instances and no others, exits 1, and names the first one in text and report
     def flipped(n, b, d, _inner=verify.check_midy_gcd):
         verdict = _inner(n, b, d)
-        return dataclasses.replace(verdict, member=not verdict.member) if d == 2 else verdict
+        return verdict._replace(member=not verdict.member) if d == 2 else verdict
 
     monkeypatch.setattr(verify, "check_midy_gcd", flipped)
     out = tmp_path / "report.json"

@@ -1,0 +1,48 @@
+"""What a fresh ``midy`` process imports, and the ``python -m midy`` entry point.
+
+Only ``verify`` reads function signatures, so every other command runs
+without ``inspect``; the records are named tuples, so no command needs
+``dataclasses``.  Both modules cost more to import than the commands take.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = r"""
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from midy.cli import main
+
+commands = [
+    ["order", "--base", "10", "7"],
+    ["set", "--base", "10", "1316833", "--json"],
+    ["check", "--base", "10", "49", "7", "--json"],
+    ["shrink", "--base", "10", "13"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in commands]
+    loaded = sorted({"dataclasses", "inspect"} & set(sys.modules))
+    codes.append(main(["verify", "coset", "--max-n", "40"]))  # imports inspect itself
+print(codes, loaded)
+"""
+
+
+def test_commands_skip_dataclasses_and_inspect():
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", SCRIPT, str(SRC)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (done.stdout, done.stderr) == ("[0, 0, 0, 0, 0] []\n", "")
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-m", "midy", "order", "--base", "10", "7"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "6\n", "")
