@@ -237,15 +237,22 @@ def _step(n: int, pairs, b: int, q: int, e: int, e_pairs) -> tuple[ShrinkStep, t
     return step, pairs, _verify_step(z * n, pairs, b, q, e, e_pairs)
 
 
-def _verify_step(zn: int, pairs, b: int, q: int, e: int, e_pairs) -> list[int]:
-    """Re-check a step on zn, period e, e a member, e // q not, and return its ``_top``.
+def _known_top(m: int, pairs, b: int, e: int, e_pairs) -> list[int] | None:
+    """``_top`` of m, given its factor pairs, when its period length is e, else None.
 
-    Only here do prime orders come by descent from e, not from p - 1: the re-check
-    carries primes, such as the repunit R_1031, whose p - 1 is out of reach.
+    Prime orders come by descent from e, not from p - 1: this carries primes,
+    such as the repunit R_1031, whose p - 1 is out of reach.
     """
-    if pow(b, e, zn) != 1 or _descend(b, zn, e, e_pairs) != e:
+    if pow(b, e, m) != 1 or _descend(b, m, e, e_pairs) != e:
+        return None
+    return _top([(p, a, _descend(b, p, e, e_pairs)) for p, a in pairs], b, e, e_pairs)
+
+
+def _verify_step(zn: int, pairs, b: int, q: int, e: int, e_pairs) -> list[int]:
+    """Re-check a step on zn, period e, e a member, e // q not, and return its ``_top``."""
+    top = _known_top(zn, pairs, b, e, e_pairs)
+    if top is None:
         raise MidyError(f"shrink step for q={q} changed the period length; construction bug")
-    top = _top([(p, a, _descend(b, p, e, e_pairs)) for p, a in pairs], b, e, e_pairs)
     if e not in top:
         raise MidyError(f"shrink step for q={q} emptied the Midy set; construction bug")
     if e // q in top:
@@ -302,19 +309,19 @@ def minimal_shrink_multiplier(built: ShrinkResult, *, cap: int = _MINIMAL_CAP) -
 
     The construction makes no minimality promise; this sweep is for small
     inputs only and refuses to run when the constructed z exceeds ``cap``.
-    Each candidate's orders come from one uncached pass over its prime powers,
-    and when its period length is e, ``_top`` decides whether its set is {e}.
+    e and its pairs come from one pass over n.  A multiple of n has period
+    length e exactly when b**e = 1 modulo it; only then is it factored, and
+    ``_known_top`` decides, as in shrink's re-check, whether its set is {e}.
     """
     n, b = built.modulus, built.base
-    e = built.final_set.order
     if built.z > cap:
         raise MidyError(f"constructed multiplier {built.z} exceeds the sweep cap {cap}")
+    e, e_pairs, _ = _prime_power_orders(b, n)
     for cand in range(1, built.z):
-        if gcd(cand, b) != 1:
-            continue
-        order, e_pairs, orders = _prime_power_orders(b, cand * n)
-        if order == e and _top(orders, b, e, e_pairs) == [e]:
-            return cand
+        m = cand * n
+        if gcd(cand, b) == 1 and pow(b, e, m) == 1:
+            if _known_top(m, _factor_pairs(m), b, e, e_pairs) == [e]:
+                return cand
     return built.z
 
 

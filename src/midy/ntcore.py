@@ -43,9 +43,6 @@ def _miller_rabin(n: int, bases) -> bool:
         d //= 2
         s += 1
     for a in bases:
-        a %= n
-        if a == 0:
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

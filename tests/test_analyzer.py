@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -37,18 +38,18 @@ from midy.verify import (
 )
 
 
+@lru_cache(maxsize=1)
+def unit_expansions(n, b):
+    """The period of every unit numerator over n, expanded once per modulus."""
+    return [expand(x, n, b) for x in range(1, n) if gcd(x, n) == 1]
+
+
 def brute_midy(n, b, d):
     """Literal all-numerators digit check, independent of the package oracle."""
     e = multiplicative_order(b, n)
     assert d >= 2 and e % d == 0
     k = e // d
-    for x in range(1, n):
-        if gcd(x, n) != 1:
-            continue
-        total = blocks(expand(x, n, b), d).block_sum
-        if total % (b**k - 1):
-            return False
-    return True
+    return all(blocks(x, d).block_sum % (b**k - 1) == 0 for x in unit_expansions(n, b))
 
 
 def brute_set(n, b):
@@ -470,6 +471,9 @@ def test_product_rejects_bad_args():
         product_set(13, 26, 10)  # not coprime
     with pytest.raises(MidyError):
         product_set(13, 5, 10)  # cofactor shares a factor with the base
+    with pytest.raises(MidyError) as exc:
+        product_set(13, 0, 10)
+    assert str(exc.value) == "cofactor must be >= 1, got 0"
 
 
 def test_product_two_adic_case():

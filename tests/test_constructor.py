@@ -56,6 +56,11 @@ def test_primitive_prime_rejects_bad_args():
 def test_primitive_prime_limit_errors():
     with pytest.raises(MidyError):
         primitive_prime(10, 6, limit=5, method="scan")
+    # auto: Phi_59(10) is composite and too large for the cyclotomic route, and
+    # a limit below the short scan's leaves no long scan, so the short one's error stands
+    with pytest.raises(MidyError) as exc:
+        primitive_prime(10, 59, limit=1000)
+    assert str(exc.value) == "no prime of order 59 for base 10 below 1000; raise the limit"
 
 
 def test_primitive_prime_beyond_scan_bound():
@@ -468,12 +473,57 @@ def test_minimal_shrink_multiplier():
 
 
 def test_minimal_shrink_multiplier_leaves_the_order_cache_alone():
-    # each candidate's order comes from one uncached pass over its prime powers
+    # each candidate's orders come by descent from e, never through _order_int
     ntcore._order_int.cache_clear()  # so a full cache cannot hide new entries
     built = shrink(49, 10)
     before = ntcore._order_int.cache_info().currsize
     assert minimal_shrink_multiplier(built) < built.z
     assert ntcore._order_int.cache_info().currsize == before
+
+
+def test_minimal_shrink_multiplier_factors_only_period_e_candidates(monkeypatch):
+    # e and its pairs come from one pass over n, and a candidate is factored
+    # only once b**e = 1 modulo cand*n says its period length is e
+    for n, b in ((13, 10), (49, 10), (71, 7), (169, 31)):
+        built = shrink(n, b, oracle_bound=0)
+        e = built.final_set.order
+        allowed = {n} | {p - 1 for p, _ in ntcore._factor_pairs(n)}
+        seen = []
+
+        def watched(m, _inner=ntcore._factor_pairs):
+            seen.append(m)
+            return _inner(m)
+
+        with monkeypatch.context() as patch:
+            _rebind_everywhere(patch, ntcore._factor_pairs, watched)
+            smallest = minimal_shrink_multiplier(built)
+        assert smallest <= built.z
+        bad = [m for m in seen if m not in allowed and (m % n or pow(b, e, m) != 1)]
+        assert not bad, (n, b, bad[:5])
+
+
+def test_minimal_shrink_multiplier_matches_brute_force():
+    # the brute force the sweep replaced, kept as its reference: the least
+    # cand coprime to b whose multiple has period length e and set {e}, else z
+    checked = 0
+    for b in (2, 3, 10):
+        for n in range(2, 100):
+            if gcd(n, b) != 1 or not midy_set(n, b).members:
+                continue
+            built = shrink(n, b, oracle_bound=0)
+            if built.z > 5000:
+                continue
+            e = built.final_set.order
+            want = built.z
+            for cand in range(1, built.z):
+                if gcd(cand, b) == 1:
+                    got = midy_set(cand * n, b)
+                    if got.order == e and got.members == (e,):
+                        want = cand
+                        break
+            assert minimal_shrink_multiplier(built) == want, (n, b)
+            checked += 1
+    assert checked == 112
 
 
 def test_minimal_shrink_cap():

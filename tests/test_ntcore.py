@@ -53,6 +53,7 @@ def brute_factor(n):
 def test_primes_upto_matches_trial_division():
     naive = [n for n in range(2, 500) if all(n % f for f in range(2, n))]
     assert primes_upto(499) == naive
+    assert primes_upto(1) == primes_upto(-5) == []
 
 
 def test_is_prime_small_range():
@@ -144,6 +145,12 @@ def test_nu_rejects_nonprime_p():
         nu(4, 8)
     with pytest.raises(MidyError):
         nu(1, 5)
+
+
+def test_nu_rejects_nonpositive_n():
+    with pytest.raises(MidyError) as exc:
+        nu(3, 0)
+    assert str(exc.value) == "valuation needs a positive integer, got 0"
 
 
 def test_nu_against_division_oracle():
