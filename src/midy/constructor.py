@@ -141,7 +141,9 @@ class ShrinkStep(namedtuple("ShrinkStep", "q branch p c s m z")):
     """One per-prime multiplier pinning nu_q of every surviving member to nu_q(e).
 
     p is the auxiliary prime of order q (None on the q = 2 exceptional
-    branches); c = nu_p(n), s = nu_p(e), m the lifting level of (b, p).
+    branches, where 2 stands in); c = nu_p(n), s = nu_p(e), m the lifting
+    level of (b, p).  z is the least power of p whose own box drops e // q;
+    the branch only labels the case c, s and the cofactor's order fall in.
     """
 
     __slots__ = ()
@@ -194,46 +196,37 @@ def _step(n: int, pairs, b: int, q: int, e: int, e_pairs) -> tuple[ShrinkStep, t
     e is the period length of n and e_pairs its factor pairs.  The auxiliary
     prime p has order q by construction, which gives its lifting level and
     puts it into the pairs of z*n without factoring p - 1 or proving p prime
-    again.
+    again; on the exceptional pair 2 stands in for it.  Either way p divides
+    b**q - 1, and z = p**t is the least power that lifts nu_p of the modulus
+    above ``_quotient_valuation``'s count for d = e // q, the rule by which
+    ``_members`` lets p's box drop e // q.
     """
     try:
-        p = _shrink_prime(b, q)
+        aux = _shrink_prime(b, q)
     except MidyError:  # the scan reached its limit: shrink has no limit to raise
         raise MidyError(
             f"no prime of order {q} for base {b} below {_SCAN_LIMIT}, shrink's search bound"
         ) from None
-    if p is not None:
-        c = _nu_int(p, n)
-        s = _nu_int(p, e)
-        m = _lifting_level(b, p, q)
-        if c == 0:
-            branch, z = BRANCH_P_NOT_DIVIDING, p ** (s + 1)
-        elif c >= s + 1:
-            branch, z = BRANCH_C_GE_S_PLUS_1, 1
-        else:
-            # the cofactor divides n, so its order divides e
-            if _descend(b, n // p**c, e, e_pairs) % q == 0:
-                branch = BRANCH_C_LT_Q_DIVIDES
-            else:
-                branch = BRANCH_C_LT_Q_NOT_DIVIDES
-            z = p ** (s - c + 1)
-        step = ShrinkStep(q=q, branch=branch, p=p, c=c, s=s, m=m, z=z)
-    else:  # primitive_prime's exceptional pair: q = 2, and no prime has order 2
-        p = 2
-        c = _nu_int(2, n)
-        s = _nu_int(2, e)
-        if c == s:
-            branch, z = BRANCH_Q2_C_EQ_S, 1
-        elif s > c:
-            branch, z = BRANCH_Q2_S_GT_C, 2 ** (s - c)
-        else:
-            branch, z = BRANCH_Q2_C_GT_S, 1
-        step = ShrinkStep(q=q, branch=branch, p=None, c=c, s=s, m=None, z=z)
-
-    if z > 1:
+    p = 2 if aux is None else aux  # primitive_prime's exceptional pair: q = 2
+    c, s = _nu_int(p, n), _nu_int(p, e)
+    if aux is None:
+        branch = BRANCH_Q2_C_EQ_S if c == s else BRANCH_Q2_S_GT_C if s > c else BRANCH_Q2_C_GT_S
+    elif c == 0:
+        branch = BRANCH_P_NOT_DIVIDING
+    elif c >= s + 1:
+        branch = BRANCH_C_GE_S_PLUS_1
+    elif _descend(b, n // p**c, e, e_pairs) % q == 0:  # the cofactor's order divides e
+        branch = BRANCH_C_LT_Q_DIVIDES
+    else:
+        branch = BRANCH_C_LT_Q_NOT_DIVIDES
+    t = max(0, _quotient_valuation(p, b, q, e // q) + 1 - c)
+    z = p**t
+    if t:
         grown = dict(pairs)
-        grown[p] = grown.get(p, 0) + _nu_int(p, z)
+        grown[p] = grown.get(p, 0) + t
         pairs = tuple(sorted(grown.items()))
+    m = None if aux is None else _lifting_level(b, p, q)
+    step = ShrinkStep(q=q, branch=branch, p=aux, c=c, s=s, m=m, z=z)
     return step, pairs, _verify_step(z * n, pairs, b, q, e, e_pairs)
 
 

@@ -134,16 +134,44 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
                     counts[p] = counts.get(p, 0) + 1
                     n //= p
     else:  # every run was tried: n is 1 or a product of primes above 10**4
-        stack = [n] if n > 1 else []
+        stack = [(n, 1)] if n > 1 else []
         while stack:
-            m = stack.pop()
+            m, k = stack.pop()  # m is a factor k times over
             if is_prime(m):
-                counts[m] = counts.get(m, 0) + 1
+                counts[m] = counts.get(m, 0) + k
+                continue
+            r, j = _perfect_power(m)
+            if j > 1:  # rho on a prime power would walk sqrt(p) steps
+                stack.append((r, k * j))
                 continue
             d = _pollard_brent(m)
-            stack.append(d)
-            stack.append(m // d)
+            stack += [(d, k), (m // d, k)]
     return tuple(sorted(counts.items()))
+
+
+def _iroot(m: int, j: int) -> int:
+    # floor of the j-th root of m >= 1, by Newton's method on integers from above
+    x = 1 << -(-m.bit_length() // j)
+    while True:
+        y = ((j - 1) * x + m // x ** (j - 1)) // j
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(m: int) -> tuple[int, int]:
+    """(r, j) with m = r**j for the least prime j that fits, else (m, 1).
+
+    m has no prime factor below 10**4 > 2**13, so only j <= bits / 13 can fit.
+    """
+    bits = m.bit_length()
+    for j in _SMALL_PRIMES:
+        if 13 * j > bits:
+            break
+        r = _iroot(m, j)
+        if r**j == m:
+            return r, j
+    return m, 1
 
 
 class Factorization(namedtuple("Factorization", "value factors")):

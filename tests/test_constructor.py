@@ -236,7 +236,7 @@ def test_shrink_step_c_between_branches():
     step = shrink_step(105, 2, 2)
     assert step.p == 3
     assert (step.c, step.s) == (1, 1)
-    assert step.z == 3  # p ** (s - c + 1)
+    assert step.z == 3  # nu_3 of the quotient for e // 2 = 6 is nu_3(6) = 1, one above c
     assert step.branch == BRANCH_C_LT_Q_DIVIDES  # ord_2(35) = 12 is even
     step_properties_hold(105, 2, 2, step)
 
@@ -281,6 +281,63 @@ def test_shrink_step_rejects_bad_args():
     with pytest.raises(MidyError) as exc:
         shrink_step(117, 10, 2)
     assert str(exc.value) == "the Midy set of 117 to base 10 is empty; nothing to pin"
+
+
+def test_step_reads_its_exponent_off_quotient_valuation(monkeypatch):
+    # one valuation rule: the step's multiplier comes from the quotient's nu_p
+    # at d = e // q, on the exceptional pair (p = 2) and on an auxiliary prime
+    calls = []
+
+    def spy(p, b, k, d, _inner=constructor._quotient_valuation):
+        calls.append((p, b, k, d))
+        return _inner(p, b, k, d)
+
+    monkeypatch.setattr(constructor, "_quotient_valuation", spy)
+    for (n, b, q), seen, z in (((5, 7, 2), (2, 7, 2, 2), 4), ((13, 10, 3), (37, 10, 3, 2), 37)):
+        calls.clear()
+        step = shrink_step(n, b, q)
+        assert calls == [seen]
+        assert step.z == z
+    assert shrink_step(5, 7, 2) == (2, BRANCH_Q2_S_GT_C, None, 0, 2, None, 4)
+    assert shrink_step(13, 10, 3) == (3, BRANCH_P_NOT_DIVIDING, 37, 0, 0, 1, 37)
+
+
+def _block_sum(x, d, mod):
+    # sum_{i<d} x**i mod mod, doubling along the bits of d: S(2j) = S(j) * (1 + x**j)
+    # and S(j + 1) = 1 + x * S(j)
+    total, power = 0, 1
+    for bit in bin(d)[2:]:
+        total, power = total * (1 + power) % mod, power * power % mod
+        if bit == "1":
+            total, power = (1 + x * total) % mod, power * x % mod
+    return total
+
+
+def test_shrink_step_exponents_against_block_sums():
+    # each step's prime p must leave e // q out of the grown set on its own:
+    # p**a, a = nu_p of the grown modulus, does not divide the block sum
+    # sum_{i<d} b**(i*q), d = e // q; and when z > 1, one p fewer would, so z
+    # is the least power of p that does it.  Read straight off the sum.
+    checked = 0
+    for b in (2, 3, 7, 10):
+        for n in range(2, 300):
+            if gcd(n, b) != 1:
+                continue
+            try:
+                res = shrink(n, b, oracle_bound=0)
+            except MidyError:
+                continue
+            current = n
+            for step in res.steps:
+                current *= step.z
+                p = 2 if step.p is None else step.p
+                d, a = res.final_set.order // step.q, nu(p, current)
+                x = pow(b, step.q, p**a)
+                assert _block_sum(x, d, p**a) != 0, (n, b, step)
+                if step.z > 1:
+                    assert _block_sum(x, d, p ** (a - 1)) == 0, (n, b, step)
+                checked += 1
+    assert checked == 1042
 
 
 def test_verify_step_rejects_broken_steps():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from midy import ntcore
 from midy.ntcore import (
     _SMALL_RUNS,
     MidyError,
@@ -121,6 +122,37 @@ def test_factorize_reconstructs_random(n):
         prev = p
         prod *= p**e
     assert prod == n
+
+
+def test_factor_pairs_takes_roots_of_perfect_powers(monkeypatch):
+    # rho on p**j walks about sqrt(p) steps, hours for p = 2**61 - 1; a root
+    # test splits the power first, also when it is left over after rho
+    p = 2**61 - 1
+    powers = {p**2, p**3}
+
+    def guarded(m, _inner=ntcore._pollard_brent):
+        if m in powers:
+            raise AssertionError(f"Brent rho called on the perfect power {m}")
+        return _inner(m)
+
+    ntcore._factor_pairs.cache_clear()  # so a cached entry cannot bypass the guard
+    monkeypatch.setattr(ntcore, "_pollard_brent", guarded)
+    assert factorize(p**2).factors == ((p, 2),)
+    assert factorize(p**3).factors == ((p, 3),)
+    assert factorize(10007 * p**2).factors == ((10007, 1), (p, 2))
+    assert factorize(10007**6 * p**4).factors == ((10007, 6), (p, 4))
+    ntcore._factor_pairs.cache_clear()
+
+
+def test_integer_root_is_the_floor():
+    rng = random.Random(24)
+    for _ in range(300):
+        m = rng.randrange(1, 1 << rng.randrange(1, 3000))  # floats overflow past 1,024 bits
+        j = rng.randrange(2, 40)
+        r = ntcore._iroot(m, j)
+        assert r**j <= m < (r + 1) ** j, (m, j)
+    assert ntcore._perfect_power(10007**5) == (10007, 5)
+    assert ntcore._perfect_power(10007**2 * 10009) == (10007**2 * 10009, 1)
 
 
 def test_divisors():
