@@ -9,7 +9,6 @@ verification, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
@@ -186,6 +185,8 @@ def _cmd_verify(args):
     report = suite(**kwargs)
     payload = report.to_payload()
     if args.out:
+        import json  # as in main: only JSON output needs it
+
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
@@ -276,6 +277,8 @@ def main(argv=None) -> int:
         return 1
     elapsed_ms = (perf_counter() - t0) * 1000.0
     if args.json:
+        import json  # bound here, so a command without --json skips the import
+
         doc = {
             "command": args.command,
             "inputs": inputs,

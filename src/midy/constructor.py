@@ -54,42 +54,38 @@ def primitive_prime(
     everywhere else a prime exists, though with no usable bound on its size.
     The primes of order n are exactly the primes of the n-th cyclotomic value
     at b that do not divide n (Zsigmondy).  ``scan`` computes that value once
-    and walks the odd candidates p = 1 (mod n) up to ``limit``, proving
-    primality only for the rare p that divide the value, and errors when
-    exhausted; ``cyclotomic`` factors the value and keeps its primes not
-    dividing n, exact but as costly as that factorization.  ``auto`` scans a
-    short prefix, takes the cyclotomic route while the value is small, returns
-    the value itself when it is prime (then it is the only prime of order n:
-    e.g. 2**127 - 1 for base 2 and n = 127 sits beyond any reasonable scan),
-    and otherwise finishes the scan to ``limit`` before giving up.
+    and walks the odd candidates p = 1 (mod n) up to ``limit``; the first that
+    divides the value is prime.  ``cyclotomic`` factors the value and keeps
+    its primes not dividing n, exact but as costly as that factorization.
+    ``auto`` scans a short prefix, takes the cyclotomic route while the value
+    is small, returns the value itself when it is prime (then it is the only
+    prime of order n: e.g. 2**127 - 1 for base 2 and n = 127 sits beyond any
+    reasonable scan), and otherwise resumes the scan above the prefix up to
+    ``limit``.  A scan that reaches ``limit`` with no prime raises.
     """
     _check_base(b)
     if n < 2:
         raise MidyError(f"target order must be >= 2, got {n}")
-    if n == 2 and _is_power_of_two(b + 1):
-        return None
-    if (n, b) == (6, 2):
+    if (n == 2 and _is_power_of_two(b + 1)) or (n, b) == (6, 2):
         return None
     if method not in ("auto", "scan", "cyclotomic"):
         raise MidyError(f"unknown search method {method!r}")
     value = _cyclotomic_value(n, b)
-    if method == "scan":
-        return _primitive_scan(b, n, limit, value)
     if method == "cyclotomic":
         return _primitive_cyclotomic(b, n, value)
-    short = min(limit, 100_000)
-    try:
-        return _primitive_scan(b, n, short, value)
-    except MidyError:
+    short = limit if method == "scan" else min(limit, 100_000)
+    p = _primitive_scan(n, value, 0, short)
+    if p is None and method == "auto":
         if value.bit_length() <= 80:
             return _primitive_cyclotomic(b, n, value)
         if n % value and is_prime(value):
             # a prime factor of the cyclotomic value that does not divide
             # n has order exactly n, and every prime of order n divides it
             return value
-        if limit > short:
-            return _primitive_scan(b, n, limit, value)
-        raise
+        p = _primitive_scan(n, value, short, limit)
+    if p is None:
+        raise MidyError(f"no prime of order {n} for base {b} below {limit}; raise the limit")
+    return p
 
 
 @lru_cache(maxsize=1 << 12)
@@ -98,15 +94,17 @@ def _shrink_prime(b: int, q: int) -> int | None:
     return primitive_prime(b, q)
 
 
-def _primitive_scan(b: int, n: int, limit: int, value: int) -> int:
-    # any p with ord_p(b) = n satisfies p = 1 (mod n), so p does not divide n
-    # and divides the cyclotomic value exactly when its order is n; 2 has order
-    # 1 for odd b, so only odd candidates are walked
+def _primitive_scan(n: int, value: int, start: int, limit: int) -> int | None:
+    # a prime of order n is 1 (mod n) and odd (2 has order 1 or divides b), so
+    # the candidates are p = 1 (mod step) in (start, limit].  If none up to start
+    # divides value, the first that does is prime: a prime s of it divides value
+    # but not n (p = 1 mod each prime of n), so s has order n, a candidate <= p
     step = n if n % 2 == 0 else 2 * n
-    for p in range(step + 1, limit + 1, step):
-        if value % p == 0 and is_prime(p):
+    lo = max(start, 1)  # 1 is no candidate
+    for p in range(lo + 1 + (-lo) % step, limit + 1, step):
+        if value % p == 0:
             return p
-    raise MidyError(f"no prime of order {n} for base {b} below {limit}; raise the limit")
+    return None
 
 
 def _cyclotomic_value(n: int, b: int) -> int:
@@ -215,7 +213,7 @@ def _step(n: int, pairs, b: int, q: int, e: int, e_pairs) -> tuple[ShrinkStep, t
         branch = BRANCH_P_NOT_DIVIDING
     elif c >= s + 1:
         branch = BRANCH_C_GE_S_PLUS_1
-    elif _descend(b, n // p**c, e, e_pairs) % q == 0:  # the cofactor's order divides e
+    elif _descend(b, n // p**c, e, e_pairs) % q == 0:  # q divides the cofactor's order
         branch = BRANCH_C_LT_Q_DIVIDES
     else:
         branch = BRANCH_C_LT_Q_NOT_DIVIDES

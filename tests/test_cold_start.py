@@ -3,6 +3,7 @@
 Only ``verify`` reads function signatures, so every other command runs
 without ``inspect``; the records are named tuples, so no command needs
 ``dataclasses``.  Both modules cost more to import than the commands take.
+Only ``--json`` and ``verify --out`` write JSON, so text output skips ``json``.
 """
 
 import os
@@ -30,13 +31,31 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(codes, loaded)
 """
 
+TEXT_SCRIPT = r"""
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from midy.cli import main
 
-def test_commands_skip_dataclasses_and_inspect():
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["order", "--base", "10", "7"]), main(["shrink", "--base", "10", "13"])]
+print(codes, "json" in sys.modules)
+"""
+
+
+def _run(script):
     done = subprocess.run(
-        [sys.executable, "-I", "-c", SCRIPT, str(SRC)],
+        [sys.executable, "-I", "-c", script, str(SRC)],
         capture_output=True, text=True, timeout=120,
     )
-    assert (done.stdout, done.stderr) == ("[0, 0, 0, 0, 0] []\n", "")
+    return done.stdout, done.stderr
+
+
+def test_commands_skip_dataclasses_and_inspect():
+    assert _run(SCRIPT) == ("[0, 0, 0, 0, 0] []\n", "")
+
+
+def test_text_output_skips_json():
+    assert _run(TEXT_SCRIPT) == ("[0, 0] False\n", "")
 
 
 def test_python_dash_m_runs_the_cli():

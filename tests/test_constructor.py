@@ -57,10 +57,79 @@ def test_primitive_prime_limit_errors():
     with pytest.raises(MidyError):
         primitive_prime(10, 6, limit=5, method="scan")
     # auto: Phi_59(10) is composite and too large for the cyclotomic route, and
-    # a limit below the short scan's leaves no long scan, so the short one's error stands
+    # a limit below the short scan's leaves the long scan nothing to walk
     with pytest.raises(MidyError) as exc:
         primitive_prime(10, 59, limit=1000)
     assert str(exc.value) == "no prime of order 59 for base 10 below 1000; raise the limit"
+
+
+def test_primitive_scan_resumes_at_the_next_candidate():
+    # 101 = 1 (mod 10), (mod 4) and, odd, (mod 2 * 5): the first candidate above 100
+    for n in (10, 4, 5):
+        assert constructor._primitive_scan(n, 101, 100, 1000) == 101, n
+    for n in range(2, 13):
+        step = n if n % 2 == 0 else 2 * n
+        assert constructor._primitive_scan(n, 1, 0, 1000) is None  # 1 is never a candidate
+        for start in range(0, 3 * step + 2):
+            # every candidate divides 0, so the scan returns the first one above start
+            first = next(p for p in range(max(start, 1) + 1, 1000) if p % step == 1)
+            assert constructor._primitive_scan(n, 0, start, 1000) == first, (n, start)
+
+
+def test_primitive_prime_proves_no_candidate_prime(monkeypatch):
+    # the first candidate p = 1 (mod n) dividing the cyclotomic value is prime:
+    # each prime of it has order n and would have been met first
+    asked = []
+
+    def spy(m, _inner=ntcore.is_prime):
+        asked.append(m)
+        return _inner(m)
+
+    _rebind_everywhere(monkeypatch, ntcore.is_prime, spy)
+    assert primitive_prime(10, 7) == 239
+    assert primitive_prime(2, 11) == 23
+    assert primitive_prime(10, 7, method="scan") == 239
+    assert [m for m in asked if m <= constructor._SCAN_LIMIT] == []
+
+
+# every b <= 12, n <= 300 whose smallest prime of order n lies in (10**5, 10**7]
+# and whose cyclotomic value has more than 80 bits, so auto's short scan fails,
+# the value is neither small nor prime, and the long scan resumes above 10**5
+_RESUMED = {
+    2: (143, 163, 167, 173, 177, 187, 189, 203, 205, 225, 229, 242, 248, 255, 272, 277,
+        278, 282, 290, 291, 294, 297),
+    3: (61, 67, 99, 115, 117, 134, 160, 164, 171, 175, 176, 178, 200, 201, 202, 215,
+        219, 220, 225, 226, 238, 244, 246, 252, 257, 264, 272, 291, 295, 296),
+    4: (67, 71, 124, 136, 139, 141, 145, 147, 160, 162, 163, 167, 176, 187, 195, 203,
+        205, 208, 220, 225, 227, 229, 274, 277, 285, 294),
+    5: (55, 63, 73, 93, 99, 100, 105, 125, 145, 150, 151, 163, 164, 177, 187, 191, 203,
+        220, 221, 223, 224, 225, 233, 251, 261, 270, 272, 275, 286, 295, 297),
+    6: (41, 49, 68, 87, 93, 100, 104, 110, 113, 145, 157, 164, 166, 175, 187, 197, 204,
+        207, 218, 219, 225, 227, 229, 241, 260, 264, 266, 284, 288, 289, 290, 293),
+    7: (59, 64, 67, 82, 89, 93, 102, 118, 123, 130, 144, 145, 186, 202, 211, 213, 217,
+        230, 236, 244, 255, 271, 277, 285, 286, 289, 295, 299, 300),
+    8: (59, 63, 75, 85, 98, 99, 102, 104, 105, 108, 117, 135, 143, 147, 158, 163, 167,
+        176, 187, 199, 203, 210, 218, 222, 225, 238, 240, 253, 267, 269, 272, 278, 280,
+        289, 290, 291, 300),
+    9: (67, 80, 82, 88, 100, 101, 110, 122, 126, 132, 136, 148, 166, 170, 175, 184, 192,
+        208, 214, 215, 216, 229, 246, 248, 255, 266, 274, 275, 287, 290, 291, 294, 295),
+    10: (37, 67, 80, 89, 104, 109, 114, 119, 123, 124, 126, 135, 142, 143, 145, 159,
+        160, 165, 172, 183, 205, 209, 217, 234, 244, 257, 260, 280, 282, 292),
+    11: (61, 87, 92, 94, 123, 126, 133, 140, 144, 146, 159, 175, 191, 214, 220, 223,
+        226, 231, 241, 243, 257, 262, 270, 283, 284, 289, 299),
+    12: (37, 57, 61, 62, 72, 74, 76, 79, 81, 104, 107, 122, 124, 129, 132, 137, 141,
+        145, 156, 170, 176, 187, 194, 201, 207, 208, 223, 224, 227, 231, 235, 247, 269,
+        290),
+}
+
+
+def test_primitive_prime_resumed_auto_equals_scan():
+    for b, orders in _RESUMED.items():
+        for n in orders:
+            p = primitive_prime(b, n, method="scan")
+            assert 10**5 < p <= 10**7 and constructor._cyclotomic_value(n, b).bit_length() > 80
+            assert primitive_prime(b, n) == p, (b, n)
+            assert multiplicative_order(b, p) == n, (b, n)
 
 
 def test_primitive_prime_beyond_scan_bound():
