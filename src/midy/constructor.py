@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import gcd
+from itertools import compress
+from math import gcd, prod
 
 from .analyzer import MidySet, _members, _quotient_valuation
 from .ntcore import (
@@ -54,14 +55,14 @@ def primitive_prime(
     everywhere else a prime exists, though with no usable bound on its size.
     The primes of order n are exactly the primes of the n-th cyclotomic value
     at b that do not divide n (Zsigmondy).  ``scan`` computes that value once
-    and walks the odd candidates p = 1 (mod n) up to ``limit``; the first that
-    divides the value is prime.  ``cyclotomic`` factors the value and keeps
-    its primes not dividing n, exact but as costly as that factorization.
-    ``auto`` scans a short prefix, takes the cyclotomic route while the value
-    is small, returns the value itself when it is prime (then it is the only
-    prime of order n: e.g. 2**127 - 1 for base 2 and n = 127 sits beyond any
-    reasonable scan), and otherwise resumes the scan above the prefix up to
-    ``limit``.  A scan that reaches ``limit`` with no prime raises.
+    and walks the odd candidates p = 1 (mod n) up to ``limit``, past a first
+    period skipping those that 3, 5, 7 or 11 divides; the first that divides
+    the value is prime.  ``cyclotomic`` factors the value and keeps its primes
+    not dividing n.  ``auto`` scans a short prefix, factors a small value, and
+    resumes the scan above the prefix up to ``limit``.  A prime value is the
+    only prime of order n (2**127 - 1 for b = 2, n = 127), so ``auto``
+    returns it, testing one of up to 1,024 bits before the long scan and a
+    larger one after it fails.  A scan that ends with no prime raises.
     """
     _check_base(b)
     if n < 2:
@@ -78,11 +79,14 @@ def primitive_prime(
     if p is None and method == "auto":
         if value.bit_length() <= 80:
             return _primitive_cyclotomic(b, n, value)
-        if n % value and is_prime(value):
-            # a prime factor of the cyclotomic value that does not divide
-            # n has order exactly n, and every prime of order n divides it
+        # a prime factor of the value not dividing n has order exactly n, and every
+        # prime of order n divides it; a test of over 1,024 bits outlasts the scan
+        small = value.bit_length() <= 1024
+        if small and n % value and is_prime(value):
             return value
         p = _primitive_scan(n, value, short, limit)
+        if p is None and not small and is_prime(value):
+            return value
     if p is None:
         raise MidyError(f"no prime of order {n} for base {b} below {limit}; raise the limit")
     return p
@@ -98,12 +102,27 @@ def _primitive_scan(n: int, value: int, start: int, limit: int) -> int | None:
     # a prime of order n is 1 (mod n) and odd (2 has order 1 or divides b), so
     # the candidates are p = 1 (mod step) in (start, limit].  If none up to start
     # divides value, the first that does is prime: a prime s of it divides value
-    # but not n (p = 1 mod each prime of n), so s has order n, a candidate <= p
+    # but not n (p = 1 mod each prime of n), so s has order n, a candidate <= p.
+    # So a composite candidate is never the first.  Past the wheel's first
+    # period, walked plainly and reaching beyond 11**2, a candidate that 3, 5,
+    # 7 or 11 divides is composite and skipped (one dividing step divides none)
     step = n if n % 2 == 0 else 2 * n
     lo = max(start, 1)  # 1 is no candidate
-    for p in range(lo + 1 + (-lo) % step, limit + 1, step):
+    first = lo + 1 + (-lo) % step
+    wheel = [r for r in (3, 5, 7, 11) if step % r]
+    period = step * prod(wheel)
+    for p in range(first, min(limit + 1, first + period), step):
         if value % p == 0:
             return p
+    mask = bytearray([1]) * (period // step)  # built only once a scan gets here
+    for r in wheel:  # the k with first + k*step = 0 (mod r)
+        k = -first * pow(step, -1, r) % r
+        mask[k::r] = bytes(len(mask[k::r]))
+    offsets = list(compress(range(0, period, step), mask))  # ascending
+    for base in range(first + period, limit + 1, period):
+        for off in offsets:
+            if value % (base + off) == 0:
+                return base + off if base + off <= limit else None
     return None
 
 

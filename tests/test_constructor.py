@@ -1,5 +1,6 @@
+import random
 import sys
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -74,6 +75,116 @@ def test_primitive_scan_resumes_at_the_next_candidate():
             # every candidate divides 0, so the scan returns the first one above start
             first = next(p for p in range(max(start, 1) + 1, 1000) if p % step == 1)
             assert constructor._primitive_scan(n, 0, start, 1000) == first, (n, start)
+
+
+def _plain_scan(n, value, start, limit):
+    # every candidate p = 1 (mod step) in (start, limit] in turn, 1 excluded
+    step = n if n % 2 == 0 else 2 * n
+    for p in range(max(start + 1 + (-start) % step, step + 1), limit + 1, step):
+        if value % p == 0:
+            return p
+    return None
+
+
+def test_primitive_scan_matches_a_plain_walk():
+    # the long scan resumes only above a short scan that found nothing, the
+    # precondition under which the wheel may skip a candidate
+    for b in range(2, 13):
+        for n in range(2, 301):
+            value = constructor._cyclotomic_value(n, b)
+            short = _plain_scan(n, value, 0, 10**5)
+            assert constructor._primitive_scan(n, value, 0, 10**5) == short, (b, n)
+            if short is None:
+                expected = _plain_scan(n, value, 10**5, 10**7)
+                assert constructor._primitive_scan(n, value, 10**5, 10**7) == expected, (b, n)
+
+
+def test_primitive_scan_wheel_edges():
+    # answers that are wheel primes themselves, walked before the wheel starts
+    for n, b, p in ((2, 2, 3), (4, 2, 5), (3, 2, 7), (10, 2, 11), (5, 3, 11), (2, 10, 11)):
+        assert constructor._primitive_scan(n, constructor._cyclotomic_value(n, b), 0, 10**7) == p
+    # steps that 3, 5, 7 and 11 divide, and seeded pairs; each start lies below
+    # the first hit h, so no candidate up to it divides the value
+    rng = random.Random("primitive-scan-wheel")
+    orders = [3, 5, 6, 7, 11, 15, 105, 1155] + rng.sample(range(2, 301), 24)
+    checked = 0
+    for n in orders:
+        for b in (2, 3, 10, rng.randrange(4, 13)):
+            if (n == 2 and (b + 1) & b == 0) or (n, b) == (6, 2):
+                continue
+            value = constructor._cyclotomic_value(n, b)
+            step = n if n % 2 == 0 else 2 * n
+            h = _plain_scan(n, value, 0, 2 * 10**6)
+            top = 2 * 10**6 if h is None else h
+            period = step * 1155 // gcd(step, 1155)
+            starts = {0, rng.randrange(top), top - 1}
+            # h as the first wheel candidate, the last plain one, one period in
+            starts |= {s for s in (top - period - 1, top - period, top - 2 * period) if s >= 0}
+            for start in starts:
+                limits = {top - 1, top, top + period, rng.randrange(start + 1, top + 2 * period)}
+                for limit in limits:
+                    expected = _plain_scan(n, value, start, limit)
+                    assert constructor._primitive_scan(n, value, start, limit) == expected, (
+                        n, b, start, limit)
+                    checked += 1
+    assert checked > 500
+
+
+def test_primitive_scan_skips_wheel_multiples():
+    # the value records every divisor tried: past the first period, walked
+    # plainly, none is divisible by a wheel prime that does not divide the step
+    class Recorded(int):
+        def __mod__(self, p):
+            tried.append(p)
+            return int(self) % p
+
+    for n, b in ((59, 10), (73, 10), (149, 2), (101, 3), (105, 10), (97, 10)):
+        value = constructor._cyclotomic_value(n, b)
+        expected = _plain_scan(n, value, 0, 10**6)
+        tried = []
+        assert constructor._primitive_scan(n, Recorded(value), 0, 10**6) == expected
+        step = n if n % 2 == 0 else 2 * n
+        wheel = [r for r in (3, 5, 7, 11) if step % r]
+        assert all(p % step == 1 for p in tried), (n, b)
+        late = [p for p in tried if p >= step + 1 + step * prod(wheel)]
+        assert late and all(p % r for p in late for r in wheel), (n, b)
+
+
+def test_primitive_prime_tests_a_large_value_only_after_the_long_scan(monkeypatch):
+    # Phi_1451(10) has 4,817 bits and is composite: the long scan finds
+    # 2394151 long before a primality test of the value would end
+    value = constructor._cyclotomic_value(1451, 10)
+    assert value.bit_length() == 4817
+    asked = []
+
+    def spy(m, _inner=ntcore.is_prime):
+        asked.append(m)
+        return _inner(m)
+
+    _rebind_everywhere(monkeypatch, ntcore.is_prime, spy)
+    assert primitive_prime(10, 1451) == 2394151
+    assert value not in asked
+    # a prime value of over 1,024 bits is still returned, once both scans fail
+    mersenne = 2**1279 - 1
+    assert primitive_prime(2, 1279) == mersenne
+    assert asked[-1] == mersenne
+
+
+def test_primitive_prime_tests_a_small_value_before_the_long_scan(monkeypatch):
+    # 2**127 - 1 and Phi_71(3) are prime: only the short scan runs before them
+    scans = []
+
+    def spy(n, value, start, limit, _inner=constructor._primitive_scan):
+        scans.append((start, limit))
+        return _inner(n, value, start, limit)
+
+    monkeypatch.setattr(constructor, "_primitive_scan", spy)
+    for b, n in ((2, 127), (3, 71)):
+        scans.clear()
+        value = constructor._cyclotomic_value(n, b)
+        assert ntcore.is_prime(value) and 80 < value.bit_length() <= 1024
+        assert primitive_prime(b, n) == value
+        assert scans == [(0, 100_000)], (b, n)
 
 
 def test_primitive_prime_proves_no_candidate_prime(monkeypatch):
