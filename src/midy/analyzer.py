@@ -109,9 +109,9 @@ def check_midy_gcd(n: int, b: int, d: int) -> MidyVerdict:
     """
     _check_pair(b, n)
     k = _checked_k(_order_int(b, n), d)
-    c = pow(b, k, n)
+    c = pow(b, k, n)  # not 1, as k = e // d < e
     # c**d - 1 = (c - 1) * sum, so reducing mod n*(c - 1) leaves the sum mod n
-    g = gcd(d if c == 1 else (pow(c, d, n * (c - 1)) - 1) // (c - 1), n)
+    g = gcd((pow(c, d, n * (c - 1)) - 1) // (c - 1), n)
     if g == n:
         return MidyVerdict(n, b, d, k, True)
     p, a = next((p, a) for p, a in _factor_pairs(n) if _nu_int(p, g) < a)
@@ -209,15 +209,19 @@ def prime_power_set(b: int, p: int, n: int) -> MidySet:
     lifting level m each extra power of p scales a copy of that set by p.
     """
     _check_odd_prime(b, p, n)
-    o, m, order = _lifted(b, p, n)
+    o, lift, order = _lifted(b, p, n)
     base_members = [d for d in divisors(o) if d >= 2]
-    copies = range(max(0, n - m) + 1)  # one copy, scaled by p**i, per power past m
+    copies = range(lift + 1)  # one copy, scaled by p**i, per power past m
     members = tuple(sorted({p**i * d for i in copies for d in base_members}))
     return MidySet(modulus=p**n, base=b, order=order, members=members)
 
 
 class CardinalityReport(namedtuple("CardinalityReport", "closed_form actual disjoint")):
-    """Closed-form size of a prime-power Midy set next to the enumerated truth."""
+    """Closed-form size of a prime-power Midy set next to the size of the set built.
+
+    ``actual`` counts the members ``prime_power_set`` assembles from its scaled
+    copies; the ``prime-power`` suite compares those against ``midy_set``.
+    """
 
     __slots__ = ()
 
@@ -225,9 +229,9 @@ class CardinalityReport(namedtuple("CardinalityReport", "closed_form actual disj
 def cardinality_report(b: int, p: int, n: int) -> CardinalityReport:
     """Closed-form count with a runtime check that the scaled copies are disjoint."""
     actual = len(prime_power_set(b, p, n).members)  # checks b, p and n once
-    o, m, _ = _lifted(b, p, n)
+    o, lift, _ = _lifted(b, p, n)
     base_count = sum(1 for d in divisors(o) if d >= 2)
-    closed = base_count if n <= m else (n - m + 1) * base_count
+    closed = (lift + 1) * base_count
     return CardinalityReport(closed_form=closed, actual=actual, disjoint=closed == actual)
 
 

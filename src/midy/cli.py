@@ -45,6 +45,8 @@ def _cmd_order(args):
 
 
 def _cmd_period(args):
+    e = multiplicative_order(args.base, args.n)
+    _check_bound(e, "e", "period takes e digit steps")
     expansion = period.expand(args.x, args.n, args.base)
     rendered = render_digits(expansion.digits, args.base)
     result = {
@@ -62,13 +64,17 @@ def _cmd_period(args):
     return _inputs(args), result, lines, False
 
 
-def _check_oracle_bound(args) -> None:
-    """Refuse --oracle, about phi(n) digit steps, above shrink's re-check bound."""
-    if args.oracle and args.n > constructor._ORACLE_BOUND:
+def _check_bound(value: int, name: str, cost: str) -> None:
+    """Refuse a walk whose step count grows with value above shrink's re-check bound."""
+    if value > constructor._ORACLE_BOUND:
         raise MidyError(
-            f"--oracle takes about phi(n) digit steps; n = {args.n} is above its bound "
-            f"{constructor._ORACLE_BOUND}"
+            f"{cost}; {name} = {value} is above its bound {constructor._ORACLE_BOUND}"
         )
+
+
+def _check_oracle_bound(args) -> None:
+    if args.oracle:
+        _check_bound(args.n, "n", "--oracle takes about phi(n) digit steps")
 
 
 def _cmd_set(args):
@@ -80,6 +86,8 @@ def _cmd_set(args):
         f"midy set of {args.n} to base {args.base}: {_format_set(ms.members)}",
     ]
     if args.multipliers:
+        cost = "--multipliers takes d steps per member d"
+        _check_bound(sum(ms.members), "the members' sum", cost)
         multipliers = {d: analyzer.multiplier(args.n, args.base, d) for d in ms.members}
         result["multipliers"] = {str(d): m for d, m in multipliers.items()}
         for d, m in multipliers.items():

@@ -79,10 +79,10 @@ def primitive_prime(
     if p is None and method == "auto":
         if value.bit_length() <= 80:
             return _primitive_cyclotomic(b, n, value)
-        # a prime factor of the value not dividing n has order exactly n, and every
-        # prime of order n divides it; a test of over 1,024 bits outlasts the scan
+        # past the exceptional pairs the value has a prime not dividing n (Zsigmondy),
+        # so a prime value has order n; a test of over 1,024 bits outlasts the scan
         small = value.bit_length() <= 1024
-        if small and n % value and is_prime(value):
+        if small and is_prime(value):
             return value
         p = _primitive_scan(n, value, short, limit)
         if p is None and not small and is_prime(value):

@@ -250,12 +250,9 @@ def _prime_power_orders(b: int, n: int):
     exps: dict[int, int] = {}
     orders = []
     for p, a in _factor_pairs(n):
-        if p == 2:
-            o, o_pairs = 1, []
-        else:
-            p1_pairs = _factor_pairs(p - 1)
-            o = _descend(b, p, p - 1, p1_pairs)
-            o_pairs = [(q, _nu_int(q, o)) for q, _ in p1_pairs if o % q == 0]
+        p1_pairs = _factor_pairs(p - 1)  # () for p = 2, whose order is then 1
+        o = _descend(b, p, p - 1, p1_pairs)
+        o_pairs = [(q, _nu_int(q, o)) for q, _ in p1_pairs if o % q == 0]
         orders.append((p, a, o))
         if a > 1:  # each step of the lift raises the order mod p**a by one p
             mod = p**a
@@ -356,7 +353,7 @@ def lifted_order(b: int, p: int, t: int) -> int:
 
 
 def _lifted(b: int, p: int, t: int) -> tuple[int, int, int]:
-    # (order o mod p, lifting level m, lifted_order) for an odd prime p already checked
+    # (o = ord_p(b), lift = the powers of p past the lifting level, lifted_order); p odd, checked
     o = _order_int(b, p)
-    m = _lifting_level(b, p, o)
-    return o, m, o if t <= m else p ** (t - m) * o
+    lift = max(0, t - _lifting_level(b, p, o))
+    return o, lift, o * p**lift

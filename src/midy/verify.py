@@ -14,6 +14,7 @@ become ``params``, every yield counts one instance, and the run is timed.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import wraps
 from math import gcd
 from time import perf_counter
@@ -42,18 +43,15 @@ from .ntcore import (
 from .period import oracle_midy_sweep
 
 
-class SweepReport:
+class SweepReport(
+    namedtuple("SweepReport", "suite params instances failures elapsed_ms", defaults=((), 0.0))
+):
     """One sweep's bound arguments, instance count, failures and wall time.
 
-    The suite runner counts into it as the sweep yields, so it stays mutable.
+    The suite runner builds it once, after the sweep has run.
     """
 
-    def __init__(self, suite: str, params: dict, instances: int) -> None:
-        self.suite = suite
-        self.params = params
-        self.instances = instances
-        self.failures: list[dict] = []
-        self.elapsed_ms = 0.0
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -94,16 +92,17 @@ def _suite(name: str):
             bound = inspect.signature(sweep).bind(*args, **kwargs)
             bound.apply_defaults()
             _check_base(bound.arguments.get("base", 2))
+            params = dict(bound.arguments)
             t0 = perf_counter()
-            report = SweepReport(name, dict(bound.arguments), 0)
+            instances, failures = 0, []
             for failure in sweep(*args, **kwargs):
-                report.instances += 1
+                instances += 1
                 if failure is not None:
-                    report.failures.append(failure)
-            if not report.instances:  # a sweep that checks nothing must not pass
-                raise MidyError(f"suite {name} ran no instance with {report.params}")
-            report.elapsed_ms = (perf_counter() - t0) * 1000.0
-            return report
+                    failures.append(failure)
+            if not instances:  # a sweep that checks nothing must not pass
+                raise MidyError(f"suite {name} ran no instance with {params}")
+            elapsed_ms = (perf_counter() - t0) * 1000.0
+            return SweepReport(name, params, instances, failures, elapsed_ms)
 
         SUITES[name] = run
         return run

@@ -190,7 +190,7 @@ def test_set_and_check_factor_only_n_and_each_p_minus_1(monkeypatch):
         return factor_pairs(m)
 
     def allowed(*moduli):
-        return {*moduli} | {p - 1 for n in moduli for p, _ in factor_pairs(n) if p > 2}
+        return {*moduli} | {p - 1 for n in moduli for p, _ in factor_pairs(n)}
 
     def watch():
         factor_pairs.cache_clear()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from midy import MidyError, constructor, period, shrink, verify
+from midy import MidyError, analyzer, constructor, period, shrink, verify
 from midy.cli import build_parser, main, render_digits
 
 
@@ -175,6 +175,31 @@ def test_oracle_flag_refuses_a_modulus_above_its_bound(capsys, monkeypatch):
             f"error: --oracle takes about phi(n) digit steps; n = {n} is above its bound {bound}\n"
         )
         assert main(argv) == 0
+
+
+def test_multipliers_and_period_refuse_a_walk_above_the_bound(capsys, monkeypatch):
+    # --multipliers takes d steps per member d and period takes e digit steps:
+    # above shrink's re-check bound both fail before any step
+    def refuse(*args, **kwargs):
+        raise AssertionError("walk started")
+
+    monkeypatch.setattr(analyzer, "multiplier", refuse)
+    monkeypatch.setattr(period, "expand", refuse)
+    bound = constructor._ORACLE_BOUND
+    n = "2000003"  # period length 1000001, set {101, 9901, 1000001}
+    cases = [
+        (["set", "--base", "10", n, "--multipliers"],
+         f"--multipliers takes d steps per member d; the members' sum = 1010003 "
+         f"is above its bound {bound}"),
+        (["period", "--base", "10", n], f"period takes e digit steps; e = 1000001 "
+         f"is above its bound {bound}"),
+    ]
+    for argv, message in cases:
+        for extra in ([], ["--json"]):
+            assert main(argv + extra) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(["set", "--base", "10", n]) == 0
+    assert capsys.readouterr().out.endswith("{101, 9901, 1000001}\n")
 
 
 def test_json_records_stay_objects(capsys, monkeypatch):

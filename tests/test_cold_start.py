@@ -4,8 +4,11 @@ Only ``verify`` reads function signatures, so every other command runs
 without ``inspect``; the records are named tuples, so no command needs
 ``dataclasses``.  Both modules cost more to import than the commands take.
 Only ``--json`` and ``verify --out`` write JSON, so text output skips ``json``.
+Read statically, every module imports only the standard library, and none of
+``json``, ``inspect``, ``random`` and ``dataclasses`` at module level.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -65,3 +68,33 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "6\n", "")
+
+
+def _module_level_imports(node):
+    # import statements that run when the module loads: function bodies excluded
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        yield from _module_level_imports(child)
+
+
+def _absolute_names(node):
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    return [node.module.split(".")[0]] if node.level == 0 else []
+
+
+def test_runtime_imports_only_the_standard_library():
+    modules = sorted((SRC / "midy").glob("*.py"))
+    assert len(modules) >= 8
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        for node in imports:
+            for name in _absolute_names(node):
+                assert name in sys.stdlib_module_names, (path.name, node.lineno, name)
+        for node in _module_level_imports(tree):
+            deferred = {"json", "inspect", "random", "dataclasses"} & set(_absolute_names(node))
+            assert not deferred, (path.name, node.lineno, deferred)
