@@ -5,7 +5,8 @@ The oracle here is the ground truth the theorem-based tests in
 Its all-x mode runs one long division per orbit {x, x*b, x*b**2, ...} of the
 unit numerators: the digits of x*b mod n are those of x rotated one place
 left, so that division yields the digits of every numerator in the orbit.
-Each numerator's exact block sum then follows from its predecessor's.
+Each numerator's exact block sum then follows from its predecessor's, and
+for blocks of k digits the sums repeat with period k along the orbit.
 """
 
 from __future__ import annotations
@@ -81,23 +82,25 @@ def blocks(expansion: PeriodExpansion, d: int) -> BlockDecomposition:
 
 
 def _rotation_block_sums(digs: list[int], b: int, k: int):
-    """Exact block sums, for blocks of k digits, of every rotation of a period.
+    """Exact block sums, for blocks of k digits, of rotations 0 ... k-1 of a period.
 
     Rotation t (t places left) of the period of x/n is the period of
     x*b**t mod n, and its block sum is S(xb) = b*S(x) - (b**k - 1)*T(x), where
-    T(x) is the sum of the blocks' leading digits: lead[t % k] below.  The
-    first sum is the Horner value of the column sums lead, which adds the
-    blocks of the unrotated period exactly.
+    T(x) is the sum of the blocks' leading digits: lead[t] below.  The first
+    sum is the Horner value of the column sums lead, which adds the blocks of
+    the unrotated period exactly.  Rotating by k places moves the first block
+    to the end and leaves the set of blocks as it was, so rotation t has the
+    block sum of rotation t mod k.  The recurrence agrees: k steps from S give
+    b**k*S - (b**k - 1)*H, where H, the Horner value of lead, is S itself.
     """
     modulus = b**k - 1
     lead = [sum(digs[j::k]) for j in range(k)]
     s = 0
     for t in lead:
         s = s * b + t
-    for _ in range(len(digs) // k):
-        for t in lead:
-            yield s
-            s = b * s - modulus * t
+    for t in lead:
+        yield s
+        s = b * s - modulus * t
 
 
 def oracle_midy_sweep(
@@ -110,6 +113,8 @@ def oracle_midy_sweep(
     block sum, tested for divisibility by b**k - 1; ``x-equals-1`` tests the
     period integer of 1/n instead.
     """
+    if mode not in ("all-x", "x-equals-1"):
+        raise MidyError(f"unknown oracle mode {mode!r}")
     if n != 1 or b < 2:  # the modulus 1 has period length 1, as in midy_set
         _check_pair(b, n)
     e = _order_int(b, n)
@@ -121,9 +126,8 @@ def oracle_midy_sweep(
     if mode == "x-equals-1":
         big = (b**e - 1) // n  # the period integer of 1/n
         return {d: big % (b ** (e // d) - 1) == 0 for d in ds}
-    if mode != "all-x":
-        raise MidyError(f"unknown oracle mode {mode!r}")
     out = dict.fromkeys(ds, True)
+    moduli = {d: b ** (e // d) - 1 for d in ds}
     pending = list(ds)
     seen = bytearray(n)
     # one long division per orbit {x, x*b, x*b**2, ...}: its remainders are the
@@ -140,9 +144,8 @@ def oracle_midy_sweep(
             a, r = divmod(r * b, n)
             digs.append(a)
         for d in tuple(pending):
-            k = e // d
-            modulus = b**k - 1
-            if any(s % modulus for s in _rotation_block_sums(digs, b, k)):
+            modulus = moduli[d]
+            if any(s % modulus for s in _rotation_block_sums(digs, b, e // d)):
                 out[d] = False
                 pending.remove(d)
     return out

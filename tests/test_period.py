@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from midy import period
 from midy.ntcore import MidyError, divisors, multiplicative_order
 from midy.period import (
     _rotation_block_sums,
@@ -139,6 +140,10 @@ def test_oracle_rejects_bad_d():
         assert str(exc.value) == f"d must be a divisor >= 2 of the period length {e}, got {d}"
     with pytest.raises(MidyError):
         oracle_midy_sweep(13, 10, [3], mode="sideways")[3]
+    # the mode is checked before the divisors and before the order is found
+    with pytest.raises(MidyError) as exc:
+        oracle_midy_sweep(13, 10, [4], mode="sideways")
+    assert str(exc.value) == "unknown oracle mode 'sideways'"
 
 
 def _reference_verdicts(n, b, ds):
@@ -167,18 +172,38 @@ def test_oracle_sweep_matches_block_sums():
 
 
 def test_rotation_block_sums_are_exact():
-    # the oracle's sums for the orbit x, x*b, x*b**2, ... are the literal ones
+    # the oracle's k sums give the literal one of every x*b**t in the orbit, as sums[t % k]
     cases = ((13, 10, 1), (49, 10, 3), (97, 10, 5), (41, 2, 7), (121, 3, 2), (37, 300, 5))
     for n, b, x in cases:
         e = multiplicative_order(b, n)
         for d in divisors(e):
             if d < 2:
                 continue
-            sums = list(_rotation_block_sums(list(expand(x, n, b).digits), b, e // d))
-            literal = [
-                blocks(expand(x * pow(b, t, n) % n, n, b), d).block_sum for t in range(e)
-            ]
-            assert sums == literal, (n, b, x, d)
+            k = e // d
+            sums = list(_rotation_block_sums(list(expand(x, n, b).digits), b, k))
+            assert len(sums) == k, (n, b, x, d)
+            for t in range(e):
+                literal = blocks(expand(x * pow(b, t, n) % n, n, b), d).block_sum
+                assert sums[t % k] == literal, (n, b, x, d, t)
+
+
+def test_oracle_tests_k_block_sums_per_orbit_and_d(monkeypatch):
+    # each orbit yields k = e/d distinct block sums for each d, not e of them
+    count = 0
+
+    def counting(digs, b, k):
+        nonlocal count
+        for s in _rotation_block_sums(digs, b, k):
+            count += 1
+            yield s
+
+    monkeypatch.setattr(period, "_rotation_block_sums", counting)
+    verdicts = oracle_midy_sweep(97, 10)  # one orbit of 96 numerators
+    assert len(verdicts) == 11 and all(verdicts.values())
+    assert count == 156  # sigma(96) - 96, the sum of e/d over the divisors d >= 2
+    count = 0
+    oracle_midy_sweep(91, 10)  # 12 orbits of 6, d = 2, 3, 6
+    assert count == 72
 
 
 def test_sweep_matches_singles_at_large_base():
