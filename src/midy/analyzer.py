@@ -104,8 +104,9 @@ def check_midy(n: int, b: int, d: int) -> MidyVerdict:
 def check_midy_gcd(n: int, b: int, d: int) -> MidyVerdict:
     """Same verdict read off g = gcd(sum_{i<d} b**(i*k) mod n, n): a member iff g = n.
 
-    The block-sum form needs no prime orders and no 2-adic rule; n is factored
-    only to name a non-member's witness, the least prime that g holds fewer of.
+    The block-sum test reads no prime order and no 2-adic rule, only e, which
+    ``_order_int`` finds by factoring n and each p - 1 on every call; n's primes
+    also name a non-member's witness, the least prime that g holds fewer of.
     """
     _check_pair(b, n)
     k = _checked_k(_order_int(b, n), d)
@@ -152,51 +153,6 @@ def multiplier(n: int, b: int, d: int) -> int:
     if rem:  # unreachable for members
         raise MidyError("multiplier sum failed to divide; membership logic is broken")
     return m
-
-
-# ---------------------------------------------------------------------------
-# coset structure of the powers of b
-
-class CosetDecomposition(namedtuple("CosetDecomposition", "modulus base k1 k2 c cosets")):
-    """The cyclic group <b**k2> mod n written as c translates of <b**k1>."""
-
-    __slots__ = ()
-
-    def union(self) -> frozenset[int]:
-        out: set[int] = set()
-        for coset in self.cosets:
-            out.update(coset)
-        return frozenset(out)
-
-
-def coset_decompose(n: int, b: int, k1: int, k2: int) -> CosetDecomposition:
-    """Translates b**(r*k2) * <b**k1> for r = 0..c-1, whose union is <b**k2>.
-
-    Requires both k1 and k2 to divide the period length e, with e//k1 dividing
-    e//k2 (equivalently k2 | k1).  Cosets are kept as sequences, so repeated
-    residues inside one translate stay visible.
-    """
-    _check_pair(b, n)
-    e = _order_int(b, n)
-    if k1 < 1 or k2 < 1 or e % k1 or e % k2:
-        raise MidyError(f"k1 and k2 must divide the period length {e}, got {k1}, {k2}")
-    d1, d2 = e // k1, e // k2
-    if d2 % d1:
-        raise MidyError(f"{d1} must divide {d2} for a coset decomposition")
-    c = d2 // d1
-    step = pow(b, k1, n)
-    subgroup = []
-    cur = 1
-    for _ in range(d1):
-        subgroup.append(cur)
-        cur = cur * step % n
-    cosets = []
-    for r in range(c):
-        t = pow(b, r * k2, n)
-        cosets.append(tuple(t * s % n for s in subgroup))
-    return CosetDecomposition(
-        modulus=n, base=b, k1=k1, k2=k2, c=c, cosets=tuple(cosets)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,10 @@ def primitive_prime(
     _check_base(b)
     if n < 2:
         raise MidyError(f"target order must be >= 2, got {n}")
-    if (n == 2 and _is_power_of_two(b + 1)) or (n, b) == (6, 2):
-        return None
     if method not in ("auto", "scan", "cyclotomic"):
         raise MidyError(f"unknown search method {method!r}")
+    if (n == 2 and _is_power_of_two(b + 1)) or (n, b) == (6, 2):
+        return None
     value = _cyclotomic_value(n, b)
     if method == "cyclotomic":
         return _primitive_cyclotomic(b, n, value)
@@ -279,8 +279,8 @@ def shrink(n: int, b: int, *, oracle_bound: int = _ORACLE_BOUND) -> ShrinkResult
     upward closed, so ``_top`` reads off e and each e // q whether it is empty
     or {e}, for n and then z*n, listing no divisor of e.  When z*n stays within
     oracle_bound the singleton is re-checked against the digit oracle: about
-    phi(z*n) long-division steps, one digit per unit numerator, plus one
-    block-sum update per numerator for each divisor not yet refuted.  A set
+    phi(z*n) long-division steps, one digit per unit numerator, plus
+    phi(z*n) / d block sums for each divisor d not yet refuted.  A set
     that is already the singleton returns z = 1 untouched, with no re-check.
     """
     _check_pair(b, n)

@@ -66,11 +66,7 @@ def period_integer(n: int, b: int) -> int:
 def blocks(expansion: PeriodExpansion, d: int) -> BlockDecomposition:
     """Cut a period into d equal blocks and sum their base-b values."""
     e = len(expansion.digits)
-    if d < 2:
-        raise MidyError(f"block count must be >= 2, got {d}")
-    if e % d:
-        raise MidyError(f"block count {d} does not divide the period length {e}")
-    k = e // d
+    k = _checked_k(e, d)
     b = expansion.base
     vals = []
     for j in range(0, e, k):

@@ -23,7 +23,6 @@ from .analyzer import (
     cardinality_report,
     check_midy,
     check_midy_gcd,
-    coset_decompose,
     midy_set,
     multiplier,
     prime_power_set,
@@ -152,34 +151,6 @@ def sweep_mode_equivalence(base: int = 10, max_n: int = 1000):
     """All-x oracle against the x=1 oracle."""
     for rec in oracle_records(base, max_n):
         yield None if rec["all_x"] == rec["x_equals_1"] else rec
-
-
-@_suite("coset")
-def sweep_coset(base: int = 10, max_n: int = 300):
-    """Coset translates union back to the subgroup for every valid (k1, k2).
-
-    Each decomposition must also hold c = d2 // d1 translates.
-    """
-    for n in range(2, max_n + 1):
-        if gcd(n, base) != 1:
-            continue
-        e = _order_int(base, n)
-        ks = divisors(e)
-        for k2 in ks:
-            d2 = e // k2
-            subgroup = set()
-            cur = 1
-            step = pow(base, k2, n)
-            for _ in range(d2):
-                subgroup.add(cur)
-                cur = cur * step % n
-            for k1 in ks:
-                d1 = e // k1
-                if d2 % d1:
-                    continue
-                dec = coset_decompose(n, base, k1, k2)
-                ok = dec.union() == subgroup and len(dec.cosets) == dec.c == d2 // d1
-                yield None if ok else {"n": n, "k1": k1, "k2": k2}
 
 
 @_suite("prime-power")

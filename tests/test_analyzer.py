@@ -9,7 +9,6 @@ from midy.analyzer import (
     _members,
     cardinality_report,
     check_midy,
-    coset_decompose,
     midy_set,
     multiplier,
     prime_power_set,
@@ -28,7 +27,6 @@ from midy.ntcore import (
 )
 from midy.period import blocks, expand, oracle_midy_sweep
 from midy.verify import (
-    sweep_coset,
     sweep_even_multiplier,
     sweep_gcd_form,
     sweep_prime_power,
@@ -352,39 +350,6 @@ def test_multiplier_against_block_sums():
 def test_multiplier_of_every_member():
     multipliers = {d: multiplier(49, 10, d) for d in midy_set(49, 10).members}
     assert multipliers == {2: 1, 3: 1, 6: 3, 14: 7, 21: 10, 42: 21}
-
-
-# ---------------------------------------------------------------------------
-# cosets
-
-def test_coset_examples():
-    dec = coset_decompose(13, 10, 3, 1)
-    assert dec.c == 3
-    assert set(dec.cosets[0]) == {1, 12}
-    assert dec.union() == {1, 10, 9, 12, 3, 4}  # all powers of 10 mod 13
-
-    trivial = coset_decompose(13, 10, 2, 2)
-    assert trivial.c == 1
-    assert trivial.union() == {1, 10 **2 % 13, 10**4 % 13}
-
-    big = coset_decompose(1316833, 10, 18, 3)
-    assert big.c == 6
-    assert all(len(coset) == 2 for coset in big.cosets)
-    powers = {pow(10, 3 * j, 1316833) for j in range(12)}
-    assert big.union() == powers
-
-
-def test_coset_rejects_bad_pairs():
-    with pytest.raises(MidyError):
-        coset_decompose(13, 10, 4, 1)  # 4 does not divide 6
-    with pytest.raises(MidyError):
-        coset_decompose(13, 10, 1, 3)  # d2 = 2 does not extend d1 = 6
-
-
-def test_coset_union_sweep():
-    for b in (2, 10):
-        report = sweep_coset(b, 299)
-        assert report.passed, report.failures[:5]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ RECORDS = {
     "FailureCertificate": ("prime nu_modulus nu_d two_adic_slack", {"two_adic_slack": 0}),
     "MidyVerdict": ("modulus base d k member certificate", {"certificate": None}),
     "MidySet": ("modulus base order members", {}),
-    "CosetDecomposition": ("modulus base k1 k2 c cosets", {}),
     "CardinalityReport": ("closed_form actual disjoint", {}),
     "RestrictionReport": ("n1 n2 base candidates violations", {}),
     "PeriodExpansion": ("numerator modulus base digits", {}),
@@ -58,8 +57,8 @@ def test_records_are_immutable_named_tuples():
     expansion = midy.expand(1, 13, 10)
     instances = [
         midy.factorize(12), verdict.certificate, verdict, midy.midy_set(13, 10),
-        midy.coset_decompose(13, 10, 2, 1), midy.cardinality_report(10, 3, 2),
-        midy.restrict_set(7, 49, 10), expansion, midy.blocks(expansion, 3),
+        midy.cardinality_report(10, 3, 2), midy.restrict_set(7, 49, 10),
+        expansion, midy.blocks(expansion, 3),
         built.steps[0], built,
     ]
     assert [type(record).__name__ for record in instances] == list(RECORDS)

@@ -40,8 +40,8 @@ def test_order_domain_error(capsys):
 
 def test_parser_built_once_with_fresh_namespaces():
     assert build_parser() is build_parser()
-    first = build_parser().parse_args(["verify", "coset", "--max-n", "20"])
-    second = build_parser().parse_args(["verify", "coset"])
+    first = build_parser().parse_args(["verify", "restrict", "--max-n", "20"])
+    second = build_parser().parse_args(["verify", "restrict"])
     assert first is not second
     assert (first.max_n, second.max_n) == (20, None)
 
@@ -52,6 +52,9 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-suite"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "coset"])
     assert exc.value.code == 2
 
 
@@ -314,7 +317,7 @@ def test_verify_command(capsys, tmp_path):
     saved = json.loads(out.read_text())
     assert saved == doc["result"]
 
-    assert main(["verify", "coset", "--max-n", "40"]) == 0
+    assert main(["verify", "restrict", "--max-n", "40"]) == 0
     assert capsys.readouterr().out.startswith("PASS")
 
 
@@ -342,7 +345,7 @@ def test_verify_rejects_a_base_below_2(capsys, tmp_path):
     suites = [
         name for name, run in verify.SUITES.items() if "base" in inspect.signature(run).parameters
     ]
-    assert len(suites) == 10
+    assert len(suites) == 9
     for suite in suites:
         for base in ("0", "1"):
             out = tmp_path / f"{suite}-{base}.json"
@@ -357,7 +360,6 @@ def test_verify_rejects_a_base_below_2(capsys, tmp_path):
         ["zsig", "--max-base", "1"],
         ["zsig", "--max-order", "1"],
         ["prime-power", "--max-p", "2"],
-        ["coset", "--max-n", "1"],
         ["order-lift", "--max-exp", "0"],
         ["product", "--max-product", "1"],
         ["restrict", "--max-n", "1"],
@@ -377,7 +379,7 @@ def test_verify_unwritable_out_is_a_usage_error(capsys, monkeypatch, tmp_path):
     calls = _record_suite_calls(monkeypatch)
     out = tmp_path / "missing" / "report.json"
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "coset", "--max-n", "10", "--out", str(out)])
+        main(["verify", "restrict", "--max-n", "10", "--out", str(out)])
     assert exc.value.code == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert len(errors) == 1 and str(out) in errors[0]
@@ -462,7 +464,7 @@ def test_verify_rejects_a_bound_the_suite_does_not_take(capsys, monkeypatch, arg
 
 
 def test_verify_flags_are_suite_parameters():
-    args = vars(build_parser().parse_args(["verify", "coset"]))
+    args = vars(build_parser().parse_args(["verify", "restrict"]))
     bounds = {name for name, value in args.items() if value is None and name != "out"}
     taken = set()
     for suite in verify.SUITES.values():
@@ -475,7 +477,7 @@ def test_suite_harness_reports_bound_arguments():
     tiny = {"base": 3, "max_n": 40, "max_p": 13, "max_exp": 2, "max_product": 60,
             "max_base": 4, "max_order": 4}
     assert list(verify.SUITES) == [
-        "oracle-equivalence", "mode-equivalence", "coset", "prime-power", "order-lift",
+        "oracle-equivalence", "mode-equivalence", "prime-power", "order-lift",
         "product", "upward-closure", "even-multiplier", "gcd-form", "zsig", "restrict",
     ]
     for name, suite in verify.SUITES.items():

@@ -30,7 +30,7 @@ commands = [
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in commands]
     loaded = sorted({"dataclasses", "inspect"} & set(sys.modules))
-    codes.append(main(["verify", "coset", "--max-n", "40"]))  # imports inspect itself
+    codes.append(main(["verify", "restrict", "--max-n", "40"]))  # imports inspect itself
 print(codes, loaded)
 """
 

@@ -52,6 +52,10 @@ def test_primitive_prime_rejects_bad_args():
         primitive_prime(10, 1)
     with pytest.raises(MidyError):
         primitive_prime(10, 6, method="guess")
+    # the method is checked before the exceptional pairs return None
+    for b, n in ((2, 6), (3, 2)):
+        with pytest.raises(MidyError, match="unknown search method"):
+            primitive_prime(b, n, method="guess")
 
 
 def test_primitive_prime_limit_errors():

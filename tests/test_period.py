@@ -100,10 +100,10 @@ def test_blocks_examples():
 
 def test_blocks_rejects_bad_counts():
     e13 = expand(1, 13, 10)
-    with pytest.raises(MidyError):
-        blocks(e13, 1)
-    with pytest.raises(MidyError):
-        blocks(e13, 4)
+    for d in (1, 4):  # the one block-count rule, ntcore._checked_k's
+        with pytest.raises(MidyError) as exc:
+            blocks(e13, d)
+        assert str(exc.value) == f"d must be a divisor >= 2 of the period length 6, got {d}"
 
 
 def test_blocks_rederivable_from_digits():
