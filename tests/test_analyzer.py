@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from functools import lru_cache
 from math import gcd
@@ -298,6 +300,31 @@ def test_set_matches_per_divisor_rule_on_large_moduli():
             if (pow(c, d, n * (c - 1)) - 1) // (c - 1) % n == 0:
                 expected.append(d)
         assert ms.members == tuple(expected), (n, b)
+
+
+def _digest(rows):
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
+def test_answer_corpora_keep_their_hashes():
+    # every set for n < 3000 and every verdict for n <= 400 in bases 2, 3 and
+    # 10, pinned by hash: a change to how membership is decided keeps them all
+    sets = []
+    verdicts = []
+    for b in (2, 3, 10):
+        for n in range(2, 3000):
+            if gcd(n, b) != 1:
+                continue
+            ms = midy_set(n, b)
+            sets.append([b, n, ms.order, list(ms.members)])
+            if n > 400:
+                continue
+            for d in divisors(ms.order)[1:]:
+                v = check_midy(n, b, d)
+                cert = list(v.certificate) if v.certificate else None
+                verdicts.append([b, n, d, v.k, v.member, cert])
+    assert (len(sets), _digest(sets)) == (4697, "7d21b81334599c4c")
+    assert (len(verdicts), _digest(verdicts)) == (3438, "8ac64304005076aa")
 
 
 def test_set_does_not_call_check_midy(monkeypatch):
