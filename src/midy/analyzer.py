@@ -10,9 +10,10 @@ divides (exactly when b**k = 1 mod p), that is for the d dividing e // o.
 Such an odd p has exactly nu_p(d) factors in the quotient (lifting the
 exponent).  The 2-adic case needs care: for odd b and even d the quotient
 absorbs nu_2(d) + nu_2(b**k + 1) - 1 twos, one more than nu_2(d) whenever k
-is odd and b = 3 (mod 4).  So among the divisors of e, each prime rules out
-one box of d, and a set is the divisors left after filtering out every
-prime's box in turn.
+is odd and b = 3 (mod 4).  That count depends on d only through nu_p(d)
+and never falls as nu_p(d) grows, so among the divisors of e each prime rules
+out exactly the divisors of one number, its box top, and a set is the
+divisors left after filtering out every prime's box in turn.
 """
 
 from __future__ import annotations
@@ -75,12 +76,23 @@ def _quotient_valuation(p: int, b: int, k: int, d: int) -> int:
 def _members(orders, b: int, e: int, candidates) -> list[int]:
     """The candidates d (divisors of e) that every prime in ``orders`` lets through.
 
-    A prime of order o constrains d only when d | e // o; one filter per prime.
+    A prime p of order o and exponent a constrains d only when d | e // o, and
+    rules d out there when ``_quotient_valuation`` counts fewer than a factors
+    p.  It rules out exactly the divisors of its box top: e // o with its
+    p-part cut down to the largest p**j whose count falls short of a, found by
+    walking j down from nu_p(e // o) (j = 0 counts none).  This is exact for
+    two reasons.  The count depends on d only through nu_p(d): at p = 2 the
+    slack arises when k = e // d is odd, exactly when nu_2(d) = nu_2(e).  And
+    it never falls as nu_p(d) grows.  One remainder per candidate and prime.
     """
     kept = list(candidates)
     for p, a, o in orders:
         f = e // o
-        kept = [d for d in kept if f % d or a <= _quotient_valuation(p, b, e // d, d)]
+        part = cut = p ** _nu_int(p, f)
+        while cut > 1 and _quotient_valuation(p, b, e // cut, cut) >= a:
+            cut //= p
+        top = f // part * cut
+        kept = [d for d in kept if top % d]
     return kept
 
 

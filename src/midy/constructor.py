@@ -114,6 +114,8 @@ def _primitive_scan(n: int, value: int, start: int, limit: int) -> int | None:
     for p in range(first, min(limit + 1, first + period), step):
         if value % p == 0:
             return p
+    if first + period > limit:  # the scan ends inside the plain period
+        return None
     mask = bytearray([1]) * (period // step)  # built only once a scan gets here
     for r in wheel:  # the k with first + k*step = 0 (mod r)
         k = -first * pow(step, -1, r) % r
@@ -232,7 +234,7 @@ def _step(n: int, pairs, b: int, q: int, e: int, e_pairs) -> tuple[ShrinkStep, t
         branch = BRANCH_P_NOT_DIVIDING
     elif c >= s + 1:
         branch = BRANCH_C_GE_S_PLUS_1
-    elif _descend(b, n // p**c, e, e_pairs) % q == 0:  # q divides the cofactor's order
+    elif _descend(b, n // p**c, e, e_pairs)[0] % q == 0:  # q divides the cofactor's order
         branch = BRANCH_C_LT_Q_DIVIDES
     else:
         branch = BRANCH_C_LT_Q_NOT_DIVIDES
@@ -253,9 +255,9 @@ def _known_top(m: int, pairs, b: int, e: int, e_pairs) -> list[int] | None:
     Prime orders come by descent from e, not from p - 1: this carries primes,
     such as the repunit R_1031, whose p - 1 is out of reach.
     """
-    if pow(b, e, m) != 1 or _descend(b, m, e, e_pairs) != e:
+    if pow(b, e, m) != 1 or _descend(b, m, e, e_pairs)[0] != e:
         return None
-    return _top([(p, a, _descend(b, p, e, e_pairs)) for p, a in pairs], b, e, e_pairs)
+    return _top([(p, a, _descend(b, p, e, e_pairs)[0]) for p, a in pairs], b, e, e_pairs)
 
 
 def _verify_step(zn: int, pairs, b: int, q: int, e: int, e_pairs) -> list[int]:

@@ -185,7 +185,10 @@ class Factorization(namedtuple("Factorization", "value factors")):
     def divisors(self) -> tuple[int, ...]:
         out = [1]
         for p, e in self.factors:
-            out += [d * p**i for i in range(1, e + 1) for d in out]
+            layer = out
+            for _ in range(e):  # the divisors with one more p than the layer before
+                layer = [d * p for d in layer]
+                out += layer
         return tuple(sorted(out))
 
 
@@ -225,18 +228,23 @@ def nu(p: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # multiplicative order and its lifting to prime powers
 
-def _descend(b: int, n: int, e: int, e_pairs) -> int:
-    """Least divisor o of e with b**o = 1 (mod n), stripping the primes of e.
+def _descend(b: int, n: int, e: int, e_pairs) -> tuple[int, tuple]:
+    """(o, o's factor pairs): the least divisor o of e with b**o = 1 (mod n).
 
-    The caller guarantees b**e = 1 (mod n) and passes e's factor pairs, so the
-    result is the order of b modulo n and nothing is factored here.
+    Strips the primes of e one at a time, so what is left of each is known.
+    The caller guarantees b**e = 1 (mod n) and passes e's factor pairs, so o
+    is the order of b modulo n and nothing is factored here.
     """
     if n == 1:
-        return 1
-    for q, _ in e_pairs:
-        while e % q == 0 and pow(b, e // q, n) == 1:
+        return 1, ()
+    o_pairs = []
+    for q, k in e_pairs:
+        while k and pow(b, e // q, n) == 1:
             e //= q
-    return e
+            k -= 1
+        if k:
+            o_pairs.append((q, k))
+    return e, tuple(o_pairs)
 
 
 def _prime_power_orders(b: int, n: int):
@@ -251,8 +259,7 @@ def _prime_power_orders(b: int, n: int):
     orders = []
     for p, a in _factor_pairs(n):
         p1_pairs = _factor_pairs(p - 1)  # () for p = 2, whose order is then 1
-        o = _descend(b, p, p - 1, p1_pairs)
-        o_pairs = [(q, _nu_int(q, o)) for q, _ in p1_pairs if o % q == 0]
+        o, o_pairs = _descend(b, p, p - 1, p1_pairs)
         orders.append((p, a, o))
         if a > 1:  # each step of the lift raises the order mod p**a by one p
             mod = p**a
@@ -261,7 +268,7 @@ def _prime_power_orders(b: int, n: int):
             while x != 1:
                 x = pow(x, p, mod)
                 lift += 1
-            o_pairs.append((p, lift))
+            o_pairs += ((p, lift),)
         for q, k in o_pairs:
             if k > exps.get(q, 0):
                 exps[q] = k

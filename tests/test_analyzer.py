@@ -19,6 +19,7 @@ from midy.analyzer import (
 )
 from midy.constructor import shrink, shrink_step
 from midy.ntcore import (
+    Factorization,
     MidyError,
     _descend,
     _nu_int,
@@ -159,7 +160,7 @@ def test_prime_orders_match_multiplicative_order():
             expected = [(p, a, multiplicative_order(b, p)) for p, a in factorize(n).factors]
             order, e_pairs, orders = _prime_power_orders(b, n)
             assert (order, orders) == (e, expected), (n, b)
-            descended = [(p, a, _descend(b, p, e, e_pairs)) for p, a, _ in orders]
+            descended = [(p, a, _descend(b, p, e, e_pairs)[0]) for p, a, _ in orders]
             assert descended == expected, (n, b)
 
 
@@ -174,7 +175,7 @@ def test_descent_from_e_matches_the_prime_power_pass():
             ms = midy_set(n, b)
             e = ms.order
             e_pairs = factorize(e).factors
-            orders = [(p, a, _descend(b, p, e, e_pairs)) for p, a in factorize(n).factors]
+            orders = [(p, a, _descend(b, p, e, e_pairs)[0]) for p, a in factorize(n).factors]
             assert tuple(_members(orders, b, e, divisors(e)[1:])) == ms.members, (n, b)
 
 
@@ -233,8 +234,8 @@ def test_set_and_check_factor_only_n_and_each_p_minus_1(monkeypatch):
 
 def test_order_descent_strips_a_square():
     # ord_3(10) = 1 sits two steps of 2 below e = ord_303(10) = 4
-    assert _descend(10, 3, 4, ((2, 2),)) == 1
-    assert _descend(10, 101, 4, ((2, 2),)) == 4
+    assert _descend(10, 3, 4, ((2, 2),)) == (1, ())
+    assert _descend(10, 101, 4, ((2, 2),)) == (4, ((2, 2),))
     assert 4 not in midy_set(303, 10)  # a descent that stopped at ord 2 would admit it
 
 
@@ -300,6 +301,65 @@ def test_set_matches_per_divisor_rule_on_large_moduli():
             if (pow(c, d, n * (c - 1)) - 1) // (c - 1) % n == 0:
                 expected.append(d)
         assert ms.members == tuple(expected), (n, b)
+
+
+def _per_candidate(orders, b, e, candidates):
+    # the filter before box tops: one valuation call per candidate d | e // o
+    kept = list(candidates)
+    for p, a, o in orders:
+        f = e // o
+        kept = [d for d in kept if f % d or a <= analyzer._quotient_valuation(p, b, e // d, d)]
+    return kept
+
+
+def test_box_tops_match_the_per_candidate_rule():
+    # every divisor of e, 1 included, and [e] alone: vanish_threshold passes
+    # [e] with e = 1 (n = 3, b = 7), where a box whose top is 1 must still
+    # rule out d = 1; 7 = 3 mod 4 shows the 2-adic slack
+    cases = [(n, b) for b in (2, 3, 7, 10) for n in range(1, 2000) if gcd(n, b) == 1]
+    rng = random.Random("box-tops")
+    powers = (2**5, 2**11, 3**4, 3**7, 5**3, 7**3, 11**2, 13**3, 1093**2, 487**2)
+    for _ in range(400):
+        n = rng.randrange(10**5, 10**9) * rng.choice(powers) * rng.choice(powers)
+        cases += [(n, b) for b in rng.sample((2, 3, 7, 10, 31), 2) if gcd(n, b) == 1]
+    for n, b in cases:
+        e, e_pairs, orders = _prime_power_orders(b, n)
+        for candidates in (Factorization(e, e_pairs).divisors(), [e]):
+            expected = _per_candidate(orders, b, e, candidates)
+            assert _members(orders, b, e, candidates) == expected, (n, b, candidates)
+
+
+def test_members_calls_the_rule_at_most_nu_p_of_e_over_o_times(monkeypatch):
+    # each prime's box top walks its exponent down from nu_p(e // o), one
+    # call of the rule a step; most primes p of n never divide e // o
+    exact = analyzer._quotient_valuation
+    members = analyzer._members
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    def bounded(orders, b, e, candidates):
+        before = len(calls)
+        kept = members(orders, b, e, candidates)
+        assert len(calls) - before <= sum(_nu_int(p, e // o) for p, _, o in orders)
+        return kept
+
+    def count(sets):
+        calls.clear()
+        for n, b in sets:
+            midy_set(n, b)
+        return len(calls)
+
+    monkeypatch.setattr(analyzer, "_quotient_valuation", counted)
+    monkeypatch.setattr(analyzer, "_members", bounded)
+    window = [(n, b) for b in (2, 3, 10) for n in range(10**9, 10**9 + 1500) if gcd(n, b) == 1]
+    assert len(window) == 2350
+    # one call per candidate d | e // o before box tops: 35, 3 and 97,076
+    assert count([(2**10 * 13**2, 3)]) == 2
+    assert count([(1316833, 10)]) == 0
+    assert count(window) == 2059
 
 
 def _digest(rows):

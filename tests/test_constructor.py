@@ -154,6 +154,16 @@ def test_primitive_scan_skips_wheel_multiples():
         assert late and all(p % r for p in late for r in wheel), (n, b)
 
 
+def test_primitive_scan_builds_no_wheel_for_a_scan_inside_its_plain_period(monkeypatch):
+    # step 118 makes the plain period 118 * 1155 = 136,290 long, past the
+    # limit, so a failing scan ends there without building the wheel
+    def refuse(*args):
+        raise AssertionError("wheel built")
+
+    monkeypatch.setattr(constructor, "compress", refuse)
+    assert constructor._primitive_scan(59, constructor._cyclotomic_value(59, 10), 0, 10**5) is None
+
+
 def test_primitive_prime_tests_a_large_value_only_after_the_long_scan(monkeypatch):
     # Phi_1451(10) has 4,817 bits and is composite: the long scan finds
     # 2394151 long before a primality test of the value would end
