@@ -367,24 +367,34 @@ def _digest(rows):
 
 
 def test_answer_corpora_keep_their_hashes():
-    # every set for n < 3000 and every verdict for n <= 400 in bases 2, 3 and
-    # 10, pinned by hash: a change to how membership is decided keeps them all
+    # every set for n < 3000, every verdict for n <= 400 and every shrink for
+    # 3 <= n < 1500 in bases 2, 3 and 10, pinned by hash: a change to how
+    # membership or an order is decided keeps them all
     sets = []
     verdicts = []
+    shrinks = []
     for b in (2, 3, 10):
         for n in range(2, 3000):
             if gcd(n, b) != 1:
                 continue
             ms = midy_set(n, b)
             sets.append([b, n, ms.order, list(ms.members)])
-            if n > 400:
+            if n <= 400:
+                for d in divisors(ms.order)[1:]:
+                    v = check_midy(n, b, d)
+                    cert = list(v.certificate) if v.certificate else None
+                    verdicts.append([b, n, d, v.k, v.member, cert])
+            if not 3 <= n < 1500:
                 continue
-            for d in divisors(ms.order)[1:]:
-                v = check_midy(n, b, d)
-                cert = list(v.certificate) if v.certificate else None
-                verdicts.append([b, n, d, v.k, v.member, cert])
+            try:
+                r = shrink(n, b, oracle_bound=0)
+            except MidyError as exc:
+                shrinks.append([b, n, str(exc)])
+                continue
+            shrinks.append([b, n, r.z, [list(s) for s in r.steps], list(r.final_set.members)])
     assert (len(sets), _digest(sets)) == (4697, "7d21b81334599c4c")
     assert (len(verdicts), _digest(verdicts)) == (3438, "8ac64304005076aa")
+    assert (len(shrinks), _digest(shrinks)) == (2346, "4976b1d59ceeeec1")
 
 
 def test_set_does_not_call_check_midy(monkeypatch):
