@@ -69,6 +69,8 @@ def primitive_prime(
         raise MidyError(f"target order must be >= 2, got {n}")
     if method not in ("auto", "scan", "cyclotomic"):
         raise MidyError(f"unknown search method {method!r}")
+    if limit < 0:  # 0 is valid: no scan
+        raise MidyError(f"scan limit must be >= 0, got {limit}")
     if (n == 2 and _is_power_of_two(b + 1)) or (n, b) == (6, 2):
         return None
     value = _cyclotomic_value(n, b)

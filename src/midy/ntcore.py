@@ -250,10 +250,11 @@ def _descend(b: int, n: int, e: int, e_pairs) -> tuple[int, tuple]:
 def _prime_power_orders(b: int, n: int):
     """(e, e's factor pairs, [(p, nu_p(n), ord_p(b)) per prime p of n]), e = ord_n(b).
 
-    e is the lcm of the orders modulo the prime powers p**a of n.  Each is
-    ord_p(b), found by descent from p - 1, times the least power of p that
-    brings b to 1 modulo p**a.  So only n and each p - 1 are factored, and e
-    comes out factored.  The caller guarantees gcd(b, n) == 1.
+    e is the lcm of the orders modulo the prime powers p**a of n.  Each
+    ord_p(b) = o is found by descent from p - 1, and the order modulo p**a
+    by descent from o * p**(a - 1), a multiple of it.  So only n and each
+    p - 1 are factored, and e comes out factored.  The caller guarantees
+    gcd(b, n) == 1.
     """
     exps: dict[int, int] = {}
     orders = []
@@ -261,14 +262,8 @@ def _prime_power_orders(b: int, n: int):
         p1_pairs = _factor_pairs(p - 1)  # () for p = 2, whose order is then 1
         o, o_pairs = _descend(b, p, p - 1, p1_pairs)
         orders.append((p, a, o))
-        if a > 1:  # each step of the lift raises the order mod p**a by one p
-            mod = p**a
-            x = pow(b, o, mod)
-            lift = 0
-            while x != 1:
-                x = pow(x, p, mod)
-                lift += 1
-            o_pairs += ((p, lift),)
+        if a > 1:  # p does not divide o, so p**(a - 1) adds the pair (p, a - 1)
+            o_pairs = _descend(b, p**a, o * p ** (a - 1), o_pairs + ((p, a - 1),))[1]
         for q, k in o_pairs:
             if k > exps.get(q, 0):
                 exps[q] = k
@@ -305,8 +300,9 @@ def _checked_k(e: int, d: int) -> int:
 def multiplicative_order(b: int, n: int) -> int:
     """Least e with b**e = 1 (mod n): the lcm of the orders modulo the prime powers of n.
 
-    Each prime p of n contributes ord_p(b), by descent from p - 1, lifted to
-    the full power of p in n, so only n and each p - 1 are factored.
+    Each prime p of n contributes the order modulo its full power p**a in n,
+    by descent from ord_p(b) * p**(a - 1), where ord_p(b) comes by descent
+    from p - 1; so only n and each p - 1 are factored.
     """
     _check_pair(b, n)
     return _order_int(b, n)

@@ -40,27 +40,24 @@ def _check_fraction(x: int, n: int, b: int) -> None:
 
 
 def expand(x: int, n: int, b: int) -> PeriodExpansion:
-    """Digits of x/n in base b over one full period, by long division."""
+    """Digits of x/n in base b over one full period, by long division.
+
+    The division stops when the remainder returns to x, so the period length
+    is read off the digits, not looked up.
+    """
     _check_fraction(x, n, b)
-    e = _order_int(b, n)
     digs = []
     r = x
-    for _ in range(e):
+    while True:
         a, r = divmod(r * b, n)
         digs.append(a)
-    if r != x:  # unreachable: the remainder cycle closes after one period
-        raise MidyError(f"expansion of {x}/{n} did not return to its start")
-    return PeriodExpansion(numerator=x, modulus=n, base=b, digits=tuple(digs))
+        if r == x:
+            return PeriodExpansion(numerator=x, modulus=n, base=b, digits=tuple(digs))
 
 
 def period_integer(n: int, b: int) -> int:
     """The integer whose base-b digits are the period of 1/n."""
-    _check_pair(b, n)
-    e = _order_int(b, n)
-    quotient, rem = divmod(b**e - 1, n)
-    if rem:  # unreachable: n divides b**e - 1 by the choice of e
-        raise MidyError(f"{n} does not divide {b}**{e} - 1")
-    return quotient
+    return (b ** len(expand(1, n, b).digits) - 1) // n
 
 
 def blocks(expansion: PeriodExpansion, d: int) -> BlockDecomposition:

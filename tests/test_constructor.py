@@ -6,6 +6,7 @@ import pytest
 
 from midy import analyzer, constructor, ntcore
 from midy.analyzer import midy_set
+from midy.cli import main
 from midy.constructor import (
     BRANCH_C_GE_S_PLUS_1,
     BRANCH_C_LT_Q_DIVIDES,
@@ -45,7 +46,7 @@ def test_primitive_prime_smallest():
     assert primitive_prime(2, 11) == 23
 
 
-def test_primitive_prime_rejects_bad_args():
+def test_primitive_prime_rejects_bad_args(capsys):
     with pytest.raises(MidyError):
         primitive_prime(1, 3)
     with pytest.raises(MidyError):
@@ -56,6 +57,13 @@ def test_primitive_prime_rejects_bad_args():
     for b, n in ((2, 6), (3, 2)):
         with pytest.raises(MidyError, match="unknown search method"):
             primitive_prime(b, n, method="guess")
+    # so is the scan limit, which may be 0 (no scan) but not negative
+    for b, n in ((10, 7), (2, 6)):
+        with pytest.raises(MidyError) as exc:
+            primitive_prime(b, n, limit=-1)
+        assert str(exc.value) == "scan limit must be >= 0, got -1"
+    assert main(["zsig", "--base", "10", "7", "--limit", "-5"]) == 1
+    assert "scan limit must be >= 0, got -5" in capsys.readouterr().err
 
 
 def test_primitive_prime_limit_errors():

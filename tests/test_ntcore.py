@@ -222,17 +222,18 @@ def test_order_matches_brute_force():
 
 
 def test_order_minimality_sweep():
-    # b**e = 1 and stripping any single prime of e breaks the congruence
-    from math import gcd
-
-    for b in range(2, 13):
-        for n in range(2, 2001):
-            if gcd(b, n) != 1:
-                continue
-            e = multiplicative_order(b, n)
-            assert pow(b, e, n) == 1
-            for q, _ in factorize(e).factors:
-                assert pow(b, e // q, n) != 1
+    # b**e = 1 and stripping any single prime of e breaks the congruence, for
+    # the order modulo n and for each prime's order; the lift cases carry
+    # orders past the lifting level, so no brute-force walk is needed for them
+    cases = [(b, n) for b in range(2, 13) for n in range(2, 2001) if gcd(b, n) == 1]
+    for b, n in [*cases, *LIFTING_CASES]:
+        e, e_pairs, orders = _prime_power_orders(b, n)
+        assert e == multiplicative_order(b, n)
+        assert e_pairs == factorize(e).factors, (b, n)
+        for m, o in [(n, e), *((p, o) for p, _, o in orders)]:
+            assert pow(b, o, m) == 1, (b, n, m)
+            for q, _ in factorize(o).factors:
+                assert pow(b, o // q, m) != 1, (b, n, m, q)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,19 @@ def test_period_integer_matches_digits():
             assert period_integer(n, b) == value
 
 
+def test_digit_layer_asks_no_order(monkeypatch):
+    # expand and period_integer read the period off their own long division,
+    # so the period tests check the order code against the digits
+    def refuse(*args):
+        raise AssertionError("_order_int called")
+
+    monkeypatch.setattr(period, "_order_int", refuse)
+    assert [len(expand(x, 49, 10).digits) for x in (1, 2, 48)] == [42, 42, 42]
+    assert "".join(map(str, expand(1, 49, 10).digits)) == DIGITS_1_49
+    assert period_integer(49, 10) == (10**42 - 1) // 49
+    assert blocks(expand(1, 13, 10), 3).block_sum == 99
+
+
 def test_blocks_examples():
     e13 = expand(1, 13, 10)
     dec = blocks(e13, 3)
