@@ -250,11 +250,10 @@ def _descend(b: int, n: int, e: int, e_pairs) -> tuple[int, tuple]:
 def _prime_power_orders(b: int, n: int):
     """(e, e's factor pairs, [(p, nu_p(n), ord_p(b)) per prime p of n]), e = ord_n(b).
 
-    e is the lcm of the orders modulo the prime powers p**a of n.  Each
-    ord_p(b) = o is found by descent from p - 1, and the order modulo p**a
-    by descent from o * p**(a - 1), a multiple of it.  So only n and each
-    p - 1 are factored, and e comes out factored.  The caller guarantees
-    gcd(b, n) == 1.
+    e is the lcm of the orders modulo the prime powers p**a of n, each found
+    by descent from its multiple o * p**(a - 1), o = ord_p(b) by descent from
+    p - 1.  So only n and each p - 1 are factored, and e comes out factored.
+    The caller guarantees gcd(b, n) == 1.
     """
     exps: dict[int, int] = {}
     orders = []
