@@ -81,6 +81,19 @@ def test_period_numerator_flag(capsys):
     assert doc["result"]["digits"] == "153846"
 
 
+def test_period_errors_keep_their_text(capsys):
+    cases = [
+        (["--base", "10", "12"], "base 10 and modulus 12 are not coprime"),
+        (["--base", "10", "1"], "modulus must be >= 2, got 1"),
+        (["--base", "1", "7"], "base must be >= 2, got 1"),
+        (["--base", "10", "13", "--x", "13"], "numerator 13 is not a unit modulo 13"),
+    ]
+    for argv, message in cases:
+        for extra in ([], ["--json"]):
+            assert main(["period", *argv, *extra]) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_render_digits_large_base():
     assert render_digits((1, 35, 0), 36) == "1z0"
     assert render_digits((41, 0, 7), 50) == "41.0.7"
