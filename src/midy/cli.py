@@ -45,8 +45,7 @@ def _cmd_order(args):
 
 
 def _cmd_period(args):
-    e = multiplicative_order(args.base, args.n)
-    _check_bound(e, "e", "period takes e digit steps")
+    period._period_length(args.n, args.base, constructor._ORACLE_BOUND)  # before any digit
     expansion = period.expand(args.x, args.n, args.base)
     rendered = render_digits(expansion.digits, args.base)
     result = {

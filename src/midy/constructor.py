@@ -264,6 +264,8 @@ def _known_top(m: int, pairs, b: int, e: int, e_pairs) -> list[int] | None:
 
 def _verify_step(zn: int, pairs, b: int, q: int, e: int, e_pairs) -> list[int]:
     """Re-check a step on zn, period e, e a member, e // q not, and return its ``_top``."""
+    if prod(p**a for p, a in pairs) != zn:
+        raise MidyError(f"shrink step for q={q} lost the factors of {zn}; construction bug")
     top = _known_top(zn, pairs, b, e, e_pairs)
     if top is None:
         raise MidyError(f"shrink step for q={q} changed the period length; construction bug")

@@ -229,14 +229,12 @@ def nu(p: int, n: int) -> int:
 # multiplicative order and its lifting to prime powers
 
 def _descend(b: int, n: int, e: int, e_pairs) -> tuple[int, tuple]:
-    """(o, o's factor pairs): the least divisor o of e with b**o = 1 (mod n).
+    """(o, o's factor pairs): the least divisor o of e with b**o = 1 (mod n), n >= 2.
 
     Strips the primes of e one at a time, so what is left of each is known.
     The caller guarantees b**e = 1 (mod n) and passes e's factor pairs, so o
     is the order of b modulo n and nothing is factored here.
     """
-    if n == 1:
-        return 1, ()
     o_pairs = []
     for q, k in e_pairs:
         while k and pow(b, e // q, n) == 1:
@@ -290,8 +288,8 @@ def _check_pair(b: int, n: int) -> None:
 
 
 def _checked_k(e: int, d: int) -> int:
-    """The block length k = e // d, once d is known to be a divisor >= 2 of e."""
-    if d < 2 or e % d:
+    """The block length k = e // d, once d is known to be an int divisor >= 2 of e."""
+    if not isinstance(d, int) or d < 2 or e % d:
         raise MidyError(f"d must be a divisor >= 2 of the period length {e}, got {d}")
     return e // d
 

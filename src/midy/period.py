@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .ntcore import MidyError, _check_pair, _checked_k, _order_int, divisors
+from .ntcore import MidyError, _check_pair, _checked_k, divisors
 
 
 class PeriodExpansion(namedtuple("PeriodExpansion", "numerator modulus base digits")):
@@ -55,9 +55,20 @@ def expand(x: int, n: int, b: int) -> PeriodExpansion:
             return PeriodExpansion(numerator=x, modulus=n, base=b, digits=tuple(digs))
 
 
+def _period_length(n: int, b: int, limit: int) -> int:
+    """Least e >= 1 with b**e = 1 (mod n), by the remainders of 1/n; raises past limit steps."""
+    _check_pair(b, n)
+    r = b % n
+    for e in range(1, limit + 1):
+        if r == 1:
+            return e
+        r = r * b % n
+    raise MidyError(f"the period length of 1/{n} to base {b} is above its bound {limit}")
+
+
 def period_integer(n: int, b: int) -> int:
     """The integer whose base-b digits are the period of 1/n."""
-    return (b ** len(expand(1, n, b).digits) - 1) // n
+    return (b ** _period_length(n, b, n) - 1) // n
 
 
 def blocks(expansion: PeriodExpansion, d: int) -> BlockDecomposition:
@@ -108,9 +119,8 @@ def oracle_midy_sweep(
     """
     if mode not in ("all-x", "x-equals-1"):
         raise MidyError(f"unknown oracle mode {mode!r}")
-    if n != 1 or b < 2:  # the modulus 1 has period length 1, as in midy_set
-        _check_pair(b, n)
-    e = _order_int(b, n)
+    # the modulus 1 has period length 1, as in midy_set; any other n has e < n
+    e = 1 if n == 1 and b >= 2 else _period_length(n, b, n)
     if ds is None:
         ds = [d for d in divisors(e) if d >= 2]
     ds = sorted(set(ds))

@@ -79,6 +79,17 @@ def test_check_rejects_bad_d():
         with pytest.raises(MidyError) as exc:
             check_midy(13, 10, d)
         assert str(exc.value) == f"d must be a divisor >= 2 of the period length 6, got {d}"
+    # a float that equals a divisor is still not a block count
+    for refuse in (
+        lambda: check_midy(13, 10, 3.0),
+        lambda: analyzer.check_midy_gcd(13, 10, 3.0),
+        lambda: oracle_midy_sweep(13, 10, [3.0]),
+        lambda: oracle_midy_sweep(13, 10, [3.0], mode="x-equals-1"),
+        lambda: blocks(expand(1, 13, 10), 3.0),
+    ):
+        with pytest.raises(MidyError) as exc:
+            refuse()
+        assert str(exc.value) == "d must be a divisor >= 2 of the period length 6, got 3.0"
     with pytest.raises(MidyError) as exc:
         check_midy(14, 10, 2)
     assert str(exc.value) == "base 10 and modulus 14 are not coprime"

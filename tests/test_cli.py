@@ -195,7 +195,8 @@ def test_oracle_flag_refuses_a_modulus_above_its_bound(capsys, monkeypatch):
 
 def test_multipliers_and_period_refuse_a_walk_above_the_bound(capsys, monkeypatch):
     # --multipliers takes d steps per member d and period takes e digit steps:
-    # above shrink's re-check bound both fail before any step
+    # above shrink's re-check bound both fail before any such step, period
+    # after at most that many remainder steps
     def refuse(*args, **kwargs):
         raise AssertionError("walk started")
 
@@ -207,8 +208,8 @@ def test_multipliers_and_period_refuse_a_walk_above_the_bound(capsys, monkeypatc
         (["set", "--base", "10", n, "--multipliers"],
          f"--multipliers takes d steps per member d; the members' sum = 1010003 "
          f"is above its bound {bound}"),
-        (["period", "--base", "10", n], f"period takes e digit steps; e = 1000001 "
-         f"is above its bound {bound}"),
+        (["period", "--base", "10", n],
+         f"the period length of 1/{n} to base 10 is above its bound {bound}"),
     ]
     for argv, message in cases:
         for extra in ([], ["--json"]):

@@ -551,6 +551,8 @@ def test_verify_step_rejects_broken_steps():
         constructor._verify_step(13 * 9, ((3, 2), (13, 1)), 10, 3, 6, e_pairs)
     with pytest.raises(MidyError, match="left member 2 unpinned"):
         constructor._verify_step(13, ((13, 1),), 10, 3, 6, e_pairs)
+    with pytest.raises(MidyError, match="lost the factors of 481; construction bug"):
+        constructor._verify_step(13 * 37, ((13, 1), (37, 2)), 10, 3, 6, e_pairs)
     constructor._verify_step(13 * 37, ((13, 1), (37, 1)), 10, 3, 6, e_pairs)  # the real step
 
 
@@ -800,18 +802,17 @@ def test_vanish_examples():
 
 
 def test_vanish_rejects_bad_p():
-    with pytest.raises(MidyError):
-        vanish_threshold(13, 10, 7)  # 7 does not divide 9
-    with pytest.raises(MidyError):
-        vanish_threshold(13, 10, 9)  # not prime
-    with pytest.raises(MidyError):
-        vanish_threshold(3, 6, 5)  # modulus shares a factor with the base
-    with pytest.raises(MidyError) as exc:
-        vanish_threshold(13, 1, 2)
-    assert str(exc.value) == "base must be >= 2, got 1"
-    with pytest.raises(MidyError) as exc:
-        vanish_threshold(0, 10, 3)
-    assert str(exc.value) == "modulus must be >= 1, got 0"
+    cases = [
+        ((13, 10, 7), "7 does not divide base - 1 = 9"),
+        ((13, 10, 9), "9 is not prime"),
+        ((3, 6, 5), "modulus 3 and base 6 are not coprime"),
+        ((13, 1, 2), "base must be >= 2, got 1"),
+        ((0, 10, 3), "modulus must be >= 1, got 0"),
+    ]
+    for args, message in cases:
+        with pytest.raises(MidyError) as exc:
+            vanish_threshold(*args)
+        assert str(exc.value) == message
 
 
 def test_vanish_sweep_semantics():

@@ -1,10 +1,13 @@
+import sys
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midy import period
+from midy import ntcore, period
+from midy.analyzer import MidySet, midy_set
+from midy.cli import main
 from midy.ntcore import MidyError, divisors, multiplicative_order
 from midy.period import (
     _rotation_block_sums,
@@ -86,17 +89,68 @@ def test_period_integer_matches_digits():
             assert period_integer(n, b) == value
 
 
-def test_digit_layer_asks_no_order(monkeypatch):
-    # expand and period_integer read the period off their own long division,
-    # so the period tests check the order code against the digits
-    def refuse(*args):
-        raise AssertionError("_order_int called")
+def _rebind(monkeypatch, fn, replacement):
+    # midy's modules bind each other's functions at import, so patch every binding
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "midy":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
 
-    monkeypatch.setattr(period, "_order_int", refuse)
+
+def test_digit_layer_asks_no_order(monkeypatch, capsys):
+    # the digit layer walks its own remainders for the period length, so the
+    # oracle and the period tests check the order code against the digits;
+    # _factor_pairs may still run on e, for the default block counts
+    pq = 909090909090909091 * 1111111111111111111  # 120 bits, period length 38
+    moduli = {13, 49, pq}
+
+    def refuse(*args):
+        raise AssertionError(f"order asked for {args}")
+
+    for name in ("_order_int", "_prime_power_orders", "multiplicative_order"):
+        _rebind(monkeypatch, getattr(ntcore, name), refuse)
+    factor_pairs = ntcore._factor_pairs
+
+    def factor_e_only(m):
+        if m in moduli:
+            raise AssertionError(f"{m} factored")
+        return factor_pairs(m)
+
+    _rebind(monkeypatch, factor_pairs, factor_e_only)
     assert [len(expand(x, 49, 10).digits) for x in (1, 2, 48)] == [42, 42, 42]
     assert "".join(map(str, expand(1, 49, 10).digits)) == DIGITS_1_49
     assert period_integer(49, 10) == (10**42 - 1) // 49
+    assert period_integer(pq, 10) == (10**38 - 1) // pq
     assert blocks(expand(1, 13, 10), 3).block_sum == 99
+    for mode in ("all-x", "x-equals-1"):
+        assert oracle_midy_sweep(13, 10, mode=mode) == {2: True, 3: True, 6: True}
+        verdicts = oracle_midy_sweep(49, 10, mode=mode)
+        assert [d for d, flag in verdicts.items() if flag] == [2, 3, 6, 14, 21, 42]
+    literal = {
+        d: blocks(expand(1, pq, 10), d).block_sum % (10 ** (38 // d) - 1) == 0
+        for d in (2, 19, 38)
+    }
+    assert oracle_midy_sweep(pq, 10, mode="x-equals-1") == literal
+    assert main(["period", "--base", "10", "49"]) == 0
+    assert capsys.readouterr().out == f"0.({DIGITS_1_49})\n"
+    assert main(["period", "--base", "10", "49", "--blocks", "14"]) == 0
+    assert capsys.readouterr().out.endswith(", sum 6993\n")
+    assert main(["period", "--base", "10", str(pq)]) == 0
+    assert capsys.readouterr().out == f"0.({(10**38 - 1) // pq:038d})\n"
+
+
+def test_modulus_one_has_period_length_one():
+    assert midy_set(1, 2) == MidySet(1, 2, 1, ())
+    for mode in ("all-x", "x-equals-1"):
+        assert oracle_midy_sweep(1, 2, mode=mode) == {}
+        with pytest.raises(MidyError) as exc:
+            oracle_midy_sweep(1, 2, [2], mode=mode)
+        assert str(exc.value) == "d must be a divisor >= 2 of the period length 1, got 2"
+    for call in (midy_set, oracle_midy_sweep):
+        with pytest.raises(MidyError) as exc:
+            call(1, 1)
+        assert str(exc.value) == "base must be >= 2, got 1"
 
 
 def test_blocks_examples():
@@ -153,7 +207,7 @@ def test_oracle_rejects_bad_d():
         assert str(exc.value) == f"d must be a divisor >= 2 of the period length {e}, got {d}"
     with pytest.raises(MidyError):
         oracle_midy_sweep(13, 10, [3], mode="sideways")[3]
-    # the mode is checked before the divisors and before the order is found
+    # the mode is checked before the divisors and before the period is found
     with pytest.raises(MidyError) as exc:
         oracle_midy_sweep(13, 10, [4], mode="sideways")
     assert str(exc.value) == "unknown oracle mode 'sideways'"
