@@ -45,7 +45,8 @@ def _cmd_order(args):
 
 
 def _cmd_period(args):
-    period._period_length(args.n, args.base, constructor._ORACLE_BOUND)  # before any digit
+    # checks the pair and refuses e above the bound before any digit step
+    period._period_length(args.n, args.base, constructor._ORACLE_BOUND)
     expansion = period.expand(args.x, args.n, args.base)
     rendered = render_digits(expansion.digits, args.base)
     result = {
