@@ -117,7 +117,7 @@ def check_midy_gcd(n: int, b: int, d: int) -> MidyVerdict:
     """Same verdict read off g = gcd(sum_{i<d} b**(i*k) mod n, n): a member iff g = n.
 
     The block-sum test reads no prime order and no 2-adic rule, only e, which
-    ``_order_int`` finds by factoring n and each p - 1 on every call; n's primes
+    the cached ``_order_int`` finds by factoring n and each p - 1; n's primes
     also name a non-member's witness, the least prime that g holds fewer of.
     """
     _check_pair(b, n)

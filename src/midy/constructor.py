@@ -61,8 +61,8 @@ def primitive_prime(
     not dividing n.  ``auto`` scans a short prefix, factors a small value, and
     resumes the scan above the prefix up to ``limit``.  A prime value is the
     only prime of order n (2**127 - 1 for b = 2, n = 127), so ``auto``
-    returns it, testing one of up to 1,024 bits before the long scan and a
-    larger one after it fails.  A scan that ends with no prime raises.
+    returns it, testing one of up to 1,024 bits before the long scan and one
+    of up to 4,096 bits after it fails.  A scan that ends with no prime raises.
     """
     _check_base(b)
     if n < 2:
@@ -81,13 +81,18 @@ def primitive_prime(
     if p is None and method == "auto":
         if value.bit_length() <= 80:
             return _primitive_cyclotomic(b, n, value)
-        # past the exceptional pairs the value has a prime not dividing n (Zsigmondy),
-        # so a prime value has order n; a test of over 1,024 bits outlasts the scan
-        small = value.bit_length() <= 1024
-        if small and is_prime(value):
+        # past the exceptional pairs a prime value has order n (Zsigmondy); a test
+        # of over 1,024 bits outlasts the scan, and one of over 4,096 is not run
+        bits = value.bit_length()
+        if bits <= 1024 and is_prime(value):
             return value
         p = _primitive_scan(n, value, short, limit)
-        if p is None and not small and is_prime(value):
+        if p is None and bits > 4096:
+            raise MidyError(
+                f"no prime of order {n} for base {b} below {limit}, and the cyclotomic "
+                f"value's {bits} bits are above the primality test's bound of 4096 bits"
+            )
+        if p is None and bits > 1024 and is_prime(value):
             return value
     if p is None:
         raise MidyError(f"no prime of order {n} for base {b} below {limit}; raise the limit")

@@ -12,9 +12,9 @@ for blocks of k digits the sums repeat with period k along the orbit.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd
+from math import gcd, isqrt
 
-from .ntcore import MidyError, _check_pair, _checked_k, divisors
+from .ntcore import MidyError, _check_pair, _checked_k
 
 
 class PeriodExpansion(namedtuple("PeriodExpansion", "numerator modulus base digits")):
@@ -113,7 +113,8 @@ def oracle_midy_sweep(
     """The digit oracle over several divisors at once.
 
     Returns {d: verdict}.  With ds omitted, every divisor >= 2 of the period
-    length is tested.  In ``all-x`` mode each unit numerator gets its own exact
+    length is tested, found by trial division, not by the factoring code the
+    oracle checks.  In ``all-x`` mode each unit numerator gets its own exact
     block sum, tested for divisibility by b**k - 1; ``x-equals-1`` tests the
     period integer of 1/n instead.
     """
@@ -122,7 +123,7 @@ def oracle_midy_sweep(
     # the modulus 1 has period length 1, as in midy_set; any other n has e < n
     e = 1 if n == 1 and b >= 2 else _period_length(n, b, n)
     if ds is None:
-        ds = [d for d in divisors(e) if d >= 2]
+        ds = [d for i in range(1, isqrt(e) + 1) if e % i == 0 for d in (i, e // i) if d >= 2]
     ds = sorted(set(ds))
     for d in ds:
         _checked_k(e, d)
@@ -155,10 +156,11 @@ def oracle_midy_sweep(
 
 
 def oracle_confirm(n: int, b: int, members, ds: list[int] | None = None) -> None:
-    """Raise MidyError naming each d where the all-x oracle over ds disagrees with members."""
-    wrong = [d for d, flag in oracle_midy_sweep(n, b, ds=ds).items() if flag != (d in members)]
+    """Raise MidyError naming each d where members and the oracle differ, within ds if given."""
+    verdicts = oracle_midy_sweep(n, b, ds=ds)
+    claimed = set(members) if ds is None else set(members) & verdicts.keys()
+    wrong = ", ".join(map(str, sorted(claimed ^ {d for d, flag in verdicts.items() if flag})))
     if wrong:
         raise MidyError(
-            f"digit oracle disagrees with the fast test on {n} base {b} at d = "
-            + ", ".join(map(str, wrong))
+            f"digit oracle disagrees with the fast test on {n} base {b} at d = {wrong}"
         )

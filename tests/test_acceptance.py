@@ -5,13 +5,11 @@ one pass over the data; everything is exact (zero tolerance) with wall-clock
 budgets asserted where stated.
 """
 
-import json
 from time import perf_counter
 
 import pytest
 
 from midy.analyzer import check_midy, midy_set, multiplier, prime_power_set
-from midy.cli import main
 from midy.constructor import primitive_prime, shrink, vanish_threshold
 from midy.ntcore import divisors, lifted_order, multiplicative_order, wieferich_level
 from midy.period import blocks, expand, oracle_midy_sweep
@@ -21,18 +19,11 @@ from midy.verify import (
     sweep_prime_power,
     sweep_primitive_prime,
 )
-
-DIGITS_1_49 = "020408163265306122448979591836734693877551"
+from reference import DIGITS_1_49, run_json
 
 
 def _pass(num: int, detail: str) -> None:
     print(f"criterion {num:2d}: PASS - {detail}")
-
-
-def run_cli_json(capsys, argv):
-    code = main(argv + ["--json"])
-    assert code == 0
-    return json.loads(capsys.readouterr().out)
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +37,9 @@ def sweep_records():
 
 def test_criterion_01_worked_sets(capsys):
     t0 = perf_counter()
-    doc13 = run_cli_json(capsys, ["set", "--base", "10", "13"])
-    doc49 = run_cli_json(capsys, ["set", "--base", "10", "49"])
+    code13, doc13 = run_json(capsys, ["set", "--base", "10", "13"])
+    code49, doc49 = run_json(capsys, ["set", "--base", "10", "49"])
+    assert code13 == code49 == 0
     elapsed = perf_counter() - t0
     assert doc13["result"]["members"] == [2, 3, 6]
     assert doc49["result"]["members"] == [2, 3, 6, 14, 21, 42]

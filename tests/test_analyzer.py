@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -37,25 +36,7 @@ from midy.verify import (
     sweep_restrict,
     sweep_upward_closure,
 )
-
-
-@lru_cache(maxsize=1)
-def unit_expansions(n, b):
-    """The period of every unit numerator over n, expanded once per modulus."""
-    return [expand(x, n, b) for x in range(1, n) if gcd(x, n) == 1]
-
-
-def brute_midy(n, b, d):
-    """Literal all-numerators digit check, independent of the package oracle."""
-    e = multiplicative_order(b, n)
-    assert d >= 2 and e % d == 0
-    k = e // d
-    return all(blocks(x, d).block_sum % (b**k - 1) == 0 for x in unit_expansions(n, b))
-
-
-def brute_set(n, b):
-    e = multiplicative_order(b, n)
-    return tuple(d for d in divisors(e) if d >= 2 and brute_midy(n, b, d))
+from reference import block_power_sum, literal_set
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +93,11 @@ def test_check_against_digit_oracle():
         for n in range(2, 260):
             if gcd(n, b) != 1:
                 continue
-            e = multiplicative_order(b, n)
-            for d in divisors(e):
-                if d < 2:
-                    continue
-                assert check_midy(n, b, d).member == brute_midy(n, b, d), (n, b, d)
+            e, members = literal_set(n, b)
+            for d in range(2, e + 1):
+                if e % d == 0:
+                    verdict = check_midy(n, b, d)
+                    assert (verdict.member, verdict.k) == (d in members, e // d), (n, b, d)
 
 
 def test_gcd_form_agrees():
@@ -306,11 +287,7 @@ def test_set_matches_per_divisor_rule_on_large_moduli():
             continue
         ms = midy_set(n, b)
         e = ms.order
-        expected = []
-        for d in divisors(e)[1:]:
-            c = pow(b, e // d, n)  # c != 1 since d > 1, and c - 1 divides c**d - 1
-            if (pow(c, d, n * (c - 1)) - 1) // (c - 1) % n == 0:
-                expected.append(d)
+        expected = [d for d in divisors(e)[1:] if block_power_sum(pow(b, e // d, n), d, n) == 0]
         assert ms.members == tuple(expected), (n, b)
 
 
@@ -423,7 +400,8 @@ def test_set_against_brute_force():
         for n in range(2, 150):
             if gcd(n, b) != 1:
                 continue
-            assert midy_set(n, b).members == brute_set(n, b)
+            ms = midy_set(n, b)
+            assert (ms.order, ms.members) == literal_set(n, b), (n, b)
 
 
 # ---------------------------------------------------------------------------

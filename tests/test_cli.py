@@ -4,17 +4,14 @@ import json
 import re
 import shlex
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
 from midy import MidyError, analyzer, constructor, period, shrink, verify
 from midy.cli import build_parser, main, render_digits
-
-
-def run_json(capsys, argv):
-    code = main(argv + ["--json"])
-    doc = json.loads(capsys.readouterr().out)
-    return code, doc
+from midy.ntcore import Factorization
+from reference import run_json
 
 
 def test_order_text(capsys):
@@ -153,6 +150,28 @@ def test_oracle_disagreement_names_the_disputed_d(capsys, monkeypatch):
         shrink(13, 10)
 
 
+def test_oracle_compares_whole_answers(capsys, monkeypatch):
+    # with ds omitted the oracle lists the block counts itself and compares
+    # whole sets: it names 12, no divisor of the period length 6, and it names
+    # 6 when a divisor listing that drops e leaves 6 out of midy_set
+    with pytest.raises(MidyError, match=r"on 13 base 10 at d = 12$"):
+        period.oracle_confirm(13, 10, (2, 3, 6, 12))
+    period.oracle_confirm(13, 10, (2, 3, 6, 12), [2, 3, 6])  # only the given ds
+    midy_set, listing = analyzer.midy_set, Factorization.divisors
+
+    def with_twice_e(n, b):
+        ms = midy_set(n, b)
+        return ms._replace(members=ms.members + (2 * ms.order,))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analyzer, "midy_set", with_twice_e)
+        assert main(["set", "--base", "10", "13", "--oracle"]) == 1
+    assert capsys.readouterr().err.endswith(" on 13 base 10 at d = 12\n")
+    monkeypatch.setattr(Factorization, "divisors", lambda self: listing(self)[:-1])
+    assert main(["set", "--base", "10", "13", "--oracle"]) == 1
+    assert capsys.readouterr().err.endswith(" on 13 base 10 at d = 6\n")
+
+
 def test_check_command(capsys):
     code, doc = run_json(capsys, ["check", "--base", "10", "49", "7"])
     assert code == 0
@@ -176,13 +195,14 @@ def test_check_oracle_large_modulus(capsys):
     assert doc["oracle_checked"] is True
 
 
+def _refuse_oracle(*args, **kwargs):
+    raise AssertionError("oracle_midy_sweep called")
+
+
 def test_oracle_flag_refuses_a_modulus_above_its_bound(capsys, monkeypatch):
     # the oracle takes about phi(n) digit steps: above shrink's re-check bound
     # the flag fails at once, and without it the fast answer still stands
-    def refuse(*args, **kwargs):
-        raise AssertionError("oracle_midy_sweep called")
-
-    monkeypatch.setattr(period, "oracle_midy_sweep", refuse)
+    monkeypatch.setattr(period, "oracle_midy_sweep", _refuse_oracle)
     bound = constructor._ORACLE_BOUND
     n = "1000003"  # prime, period length 166667
     for argv in (["set", "--base", "10", n], ["check", "--base", "10", n, "166667"]):
@@ -280,10 +300,7 @@ def test_shrink_reports_whether_the_oracle_ran(capsys, monkeypatch):
 def test_shrink_minimal_reuses_the_built_shrink(capsys, monkeypatch):
     # z*n = 701097 is above --oracle-bound 10: no oracle run at all, not even
     # from a second shrink with the default bound
-    def refuse(*args, **kwargs):
-        raise AssertionError("oracle_midy_sweep called")
-
-    monkeypatch.setattr(period, "oracle_midy_sweep", refuse)
+    monkeypatch.setattr(period, "oracle_midy_sweep", _refuse_oracle)
     code, doc = run_json(
         capsys, ["shrink", "--base", "2", "1003", "--oracle-bound", "10", "--minimal"]
     )
@@ -305,6 +322,20 @@ def test_zsig_command(capsys):
     assert doc["result"] == {"exceptional": False, "prime": 7}
     code, doc = run_json(capsys, ["zsig", "--base", "10", "6", "--method", "cyclotomic"])
     assert doc["result"]["prime"] == 7
+
+
+def test_zsig_names_the_primality_test_bound(capsys):
+    # no prime of order 6991 lies below the scan limit, and Phi_6991(10) has
+    # 23,221 bits: zsig refuses to test it, and shrink keeps its own message
+    t0 = perf_counter()
+    assert main(["zsig", "--base", "10", "6991"]) == 1
+    assert perf_counter() - t0 < 2.0
+    assert capsys.readouterr().err == (
+        "error: no prime of order 6991 for base 10 below 10000000, and the cyclotomic "
+        "value's 23221 bits are above the primality test's bound of 4096 bits\n"
+    )
+    with pytest.raises(MidyError, match=r"^no prime of order 6991 .*, shrink's search bound$"):
+        shrink(94071737, 10)
 
 
 def test_json_inputs_record_every_parsed_argument(capsys):

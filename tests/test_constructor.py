@@ -1,5 +1,4 @@
 import random
-import sys
 from math import gcd, prod
 
 import pytest
@@ -23,6 +22,7 @@ from midy.constructor import (
 )
 from midy.ntcore import MidyError, divisors, factorize, multiplicative_order, nu, primes_upto
 from midy.period import oracle_midy_sweep
+from reference import block_power_sum, rebind_everywhere
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +172,24 @@ def test_primitive_scan_builds_no_wheel_for_a_scan_inside_its_plain_period(monke
     assert constructor._primitive_scan(59, constructor._cyclotomic_value(59, 10), 0, 10**5) is None
 
 
-def test_primitive_prime_tests_a_large_value_only_after_the_long_scan(monkeypatch):
-    # Phi_1451(10) has 4,817 bits and is composite: the long scan finds
-    # 2394151 long before a primality test of the value would end
-    value = constructor._cyclotomic_value(1451, 10)
-    assert value.bit_length() == 4817
+def _watch_is_prime(monkeypatch):
+    # every number is_prime is asked about, in order, at every binding
     asked = []
 
     def spy(m, _inner=ntcore.is_prime):
         asked.append(m)
         return _inner(m)
 
-    _rebind_everywhere(monkeypatch, ntcore.is_prime, spy)
+    rebind_everywhere(monkeypatch, ntcore.is_prime, spy)
+    return asked
+
+
+def test_primitive_prime_tests_a_large_value_only_after_the_long_scan(monkeypatch):
+    # Phi_1451(10) has 4,817 bits and is composite: the long scan finds
+    # 2394151 long before a primality test of the value would end
+    value = constructor._cyclotomic_value(1451, 10)
+    assert value.bit_length() == 4817
+    asked = _watch_is_prime(monkeypatch)
     assert primitive_prime(10, 1451) == 2394151
     assert value not in asked
     # a prime value of over 1,024 bits is still returned, once both scans fail
@@ -212,13 +218,7 @@ def test_primitive_prime_tests_a_small_value_before_the_long_scan(monkeypatch):
 def test_primitive_prime_proves_no_candidate_prime(monkeypatch):
     # the first candidate p = 1 (mod n) dividing the cyclotomic value is prime:
     # each prime of it has order n and would have been met first
-    asked = []
-
-    def spy(m, _inner=ntcore.is_prime):
-        asked.append(m)
-        return _inner(m)
-
-    _rebind_everywhere(monkeypatch, ntcore.is_prime, spy)
+    asked = _watch_is_prime(monkeypatch)
     assert primitive_prime(10, 7) == 239
     assert primitive_prime(2, 11) == 23
     assert primitive_prime(10, 7, method="scan") == 239
@@ -284,20 +284,8 @@ def test_primitive_prime_prime_cyclotomic_value_returned_directly(monkeypatch):
             raise AssertionError("order of the prime cyclotomic value recomputed")
         return orders(b, n)
 
-    _rebind_everywhere(monkeypatch, orders, guarded)
+    rebind_everywhere(monkeypatch, orders, guarded)
     assert primitive_prime(2, 127) == mersenne
-
-
-def _rebind_everywhere(monkeypatch, func, replacement):
-    # every module-level name bound to func, so no alias reaches it
-    bound = 0
-    for module in list(sys.modules.values()):
-        if module is not None and module.__name__.split(".")[0] == "midy":
-            for name, value in list(vars(module).items()):
-                if value is func:
-                    monkeypatch.setattr(module, name, replacement)
-                    bound += 1
-    assert bound, func
 
 
 def _watch_listings(monkeypatch, hook):
@@ -310,7 +298,7 @@ def _watch_listings(monkeypatch, hook):
 
         return wrapper
 
-    _rebind_everywhere(monkeypatch, analyzer.midy_set, watched(analyzer.midy_set))
+    rebind_everywhere(monkeypatch, analyzer.midy_set, watched(analyzer.midy_set))
     monkeypatch.setattr(
         ntcore.Factorization, "divisors", watched(ntcore.Factorization.divisors)
     )
@@ -504,17 +492,6 @@ def test_step_reads_its_exponent_off_quotient_valuation(monkeypatch):
     assert shrink_step(13, 10, 3) == (3, BRANCH_P_NOT_DIVIDING, 37, 0, 0, 1, 37)
 
 
-def _block_sum(x, d, mod):
-    # sum_{i<d} x**i mod mod, doubling along the bits of d: S(2j) = S(j) * (1 + x**j)
-    # and S(j + 1) = 1 + x * S(j)
-    total, power = 0, 1
-    for bit in bin(d)[2:]:
-        total, power = total * (1 + power) % mod, power * power % mod
-        if bit == "1":
-            total, power = (1 + x * total) % mod, power * x % mod
-    return total
-
-
 def test_shrink_step_exponents_against_block_sums():
     # each step's prime p must leave e // q out of the grown set on its own:
     # p**a, a = nu_p of the grown modulus, does not divide the block sum
@@ -535,9 +512,9 @@ def test_shrink_step_exponents_against_block_sums():
                 p = 2 if step.p is None else step.p
                 d, a = res.final_set.order // step.q, nu(p, current)
                 x = pow(b, step.q, p**a)
-                assert _block_sum(x, d, p**a) != 0, (n, b, step)
+                assert block_power_sum(x, d, p**a) != 0, (n, b, step)
                 if step.z > 1:
-                    assert _block_sum(x, d, p ** (a - 1)) == 0, (n, b, step)
+                    assert block_power_sum(x, d, p ** (a - 1)) == 0, (n, b, step)
                 checked += 1
     assert checked == 1042
 
@@ -756,7 +733,7 @@ def test_minimal_shrink_multiplier_factors_only_period_e_candidates(monkeypatch)
             return _inner(m)
 
         with monkeypatch.context() as patch:
-            _rebind_everywhere(patch, ntcore._factor_pairs, watched)
+            rebind_everywhere(patch, ntcore._factor_pairs, watched)
             smallest = minimal_shrink_multiplier(built)
         assert smallest <= built.z
         bad = [m for m in seen if m not in allowed and (m % n or pow(b, e, m) != 1)]

@@ -1,4 +1,3 @@
-import sys
 from math import gcd
 
 import pytest
@@ -16,8 +15,7 @@ from midy.period import (
     oracle_midy_sweep,
     period_integer,
 )
-
-DIGITS_1_49 = "020408163265306122448979591836734693877551"
+from reference import DIGITS_1_49, literal_set, rebind_everywhere
 
 
 def test_expand_examples():
@@ -89,35 +87,17 @@ def test_period_integer_matches_digits():
             assert period_integer(n, b) == value
 
 
-def _rebind(monkeypatch, fn, replacement):
-    # midy's modules bind each other's functions at import, so patch every binding
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "midy":
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, replacement)
-
-
 def test_digit_layer_asks_no_order(monkeypatch, capsys):
-    # the digit layer walks its own remainders for the period length, so the
-    # oracle and the period tests check the order code against the digits;
-    # _factor_pairs may still run on e, for the default block counts
+    # the digit layer walks its own remainders for the period length and lists
+    # its own block counts, so the oracle and the period tests check the order
+    # and factoring code against the digits
     pq = 909090909090909091 * 1111111111111111111  # 120 bits, period length 38
-    moduli = {13, 49, pq}
 
     def refuse(*args):
-        raise AssertionError(f"order asked for {args}")
+        raise AssertionError(f"order or factors asked for {args}")
 
-    for name in ("_order_int", "_prime_power_orders", "multiplicative_order"):
-        _rebind(monkeypatch, getattr(ntcore, name), refuse)
-    factor_pairs = ntcore._factor_pairs
-
-    def factor_e_only(m):
-        if m in moduli:
-            raise AssertionError(f"{m} factored")
-        return factor_pairs(m)
-
-    _rebind(monkeypatch, factor_pairs, factor_e_only)
+    for name in ("_order_int", "_prime_power_orders", "multiplicative_order", "_factor_pairs"):
+        rebind_everywhere(monkeypatch, getattr(ntcore, name), refuse)
     assert [len(expand(x, 49, 10).digits) for x in (1, 2, 48)] == [42, 42, 42]
     assert "".join(map(str, expand(1, 49, 10).digits)) == DIGITS_1_49
     assert period_integer(49, 10) == (10**42 - 1) // 49
@@ -213,29 +193,18 @@ def test_oracle_rejects_bad_d():
     assert str(exc.value) == "unknown oracle mode 'sideways'"
 
 
-def _reference_verdicts(n, b, ds):
-    # the definition itself: expand every unit numerator and parse its blocks
-    e = multiplicative_order(b, n)
-    periods = [expand(x, n, b) for x in range(1, n) if gcd(x, n) == 1]
-    return {
-        d: all(blocks(p, d).block_sum % (b ** (e // d) - 1) == 0 for p in periods)
-        for d in ds
-    }
-
-
 def test_oracle_sweep_matches_block_sums():
+    # ds omitted, the block counts are the oracle's own: every divisor >= 2 of e
     cases = [(b, n) for b in (2, 3, 10) for n in range(2, 200)]
     cases += [(300, n) for n in (7, 17, 37, 41, 49, 101, 121, 133)]  # digits >= 256
     for b, n in cases:
         if gcd(n, b) != 1:
             continue
-        e = multiplicative_order(b, n)
-        ds = [d for d in divisors(e) if d >= 2]
-        if not ds:
-            continue
-        literal = oracle_midy_sweep(n, b, ds, mode="all-x")
-        assert literal == _reference_verdicts(n, b, ds), (n, b)
-        assert literal == oracle_midy_sweep(n, b, ds, mode="x-equals-1"), (n, b)
+        e, members = literal_set(n, b)
+        literal = {d: d in members for d in range(2, e + 1) if e % d == 0}
+        for mode in ("all-x", "x-equals-1"):
+            for ds in (None, list(literal)):
+                assert oracle_midy_sweep(n, b, ds, mode) == literal, (n, b, mode, ds)
 
 
 def test_rotation_block_sums_are_exact():
