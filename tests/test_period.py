@@ -1,3 +1,5 @@
+import hashlib
+import json
 from math import gcd
 
 import pytest
@@ -205,6 +207,17 @@ def test_oracle_sweep_matches_block_sums():
         for mode in ("all-x", "x-equals-1"):
             for ds in (None, list(literal)):
                 assert oracle_midy_sweep(n, b, ds, mode) == literal, (n, b, mode, ds)
+
+
+def test_oracle_verdicts_keep_their_hash():
+    # every verdict of both modes for 2 <= n < 400 in bases 300, 97, 7 and 12,
+    # pinned by hash: a change to how the oracle reads the digits keeps them all
+    pairs = [(b, n) for b in (300, 97, 7, 12) for n in range(2, 400) if gcd(n, b) == 1]
+    assert len(pairs) == 972
+    for mode in ("all-x", "x-equals-1"):
+        rows = [[b, n, sorted(oracle_midy_sweep(n, b, mode=mode).items())] for b, n in pairs]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+        assert digest == "9cbbaffbe0375e78", mode
 
 
 def test_rotation_block_sums_are_exact():
