@@ -5,14 +5,18 @@ The oracle here is the ground truth the theorem-based tests in
 Its all-x mode runs one long division per orbit {x, x*b, x*b**2, ...} of the
 unit numerators: the digits of x*b mod n are those of x rotated one place
 left, so that division yields the digits of every numerator in the orbit.
-Each numerator's exact block sum then follows from its predecessor's, and
-for blocks of k digits the sums repeat with period k along the orbit.
+For blocks of k digits the block sums repeat with period k along the orbit.
+The first is tested against b**k - 1 as one big int; each numerator's exact
+sum is then m*(b**k - 1), with its multiplier m stepped from its
+predecessor's as a small int and checked to lie strictly between 0 and d.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from math import gcd, isqrt
+from operator import add
 
 from .ntcore import MidyError, _check_pair, _checked_k
 
@@ -55,6 +59,7 @@ def expand(x: int, n: int, b: int) -> PeriodExpansion:
             return PeriodExpansion(numerator=x, modulus=n, base=b, digits=tuple(digs))
 
 
+@lru_cache(maxsize=1 << 12)  # so the oracle's two modes on one (n, b) walk 1/n once
 def _period_length(n: int, b: int, limit: int) -> int:
     """Least e >= 1 with b**e = 1 (mod n), by the remainders of 1/n; raises past limit steps."""
     _check_pair(b, n)
@@ -85,26 +90,43 @@ def blocks(expansion: PeriodExpansion, d: int) -> BlockDecomposition:
     return BlockDecomposition(d=d, k=k, blocks=tuple(vals), block_sum=sum(vals))
 
 
-def _rotation_block_sums(digs: list[int], b: int, k: int):
-    """Exact block sums, for blocks of k digits, of rotations 0 ... k-1 of a period.
+def _rotation_multipliers(digs: list[int], b: int, d: int) -> list[int] | None:
+    """Multipliers m_0 ... m_{k-1} of a period's d-block sums over its first k rotations.
 
     Rotation t (t places left) of the period of x/n is the period of
-    x*b**t mod n, and its block sum is S(xb) = b*S(x) - (b**k - 1)*T(x), where
-    T(x) is the sum of the blocks' leading digits: lead[t] below.  The first
-    sum is the Horner value of the column sums lead, which adds the blocks of
-    the unrotated period exactly.  Rotating by k places moves the first block
-    to the end and leaves the set of blocks as it was, so rotation t has the
-    block sum of rotation t mod k.  The recurrence agrees: k steps from S give
-    b**k*S - (b**k - 1)*H, where H, the Horner value of lead, is S itself.
+    x*b**t mod n.  With blocks of k = e/d digits, S_t = m_t*(b**k - 1) is its
+    block sum, and the column sums T of the blocks give
+    S_{t+1} = b*S_t - (b**k - 1)*T_t.  S_0 is the Horner value of T, the one
+    big-int test: None when b**k - 1 does not divide it.  Otherwise every
+    later sum is a multiple too, and m_{t+1} = b*m_t - T_t.  Rotating by k
+    places moves the first block to the end, so rotation t has the sum of
+    rotation t mod k.  Each sum adds d blocks of k digits and a unit fraction's
+    period is neither all 0s nor all (b-1)s, so 0 < m_t < d; a multiplier
+    outside raises MidyError.
     """
-    modulus = b**k - 1
-    lead = [sum(digs[j::k]) for j in range(k)]
+    k = len(digs) // d
+    if d < k:
+        cols = digs[:k]
+        for j in range(k, len(digs), k):
+            cols = list(map(add, cols, digs[j : j + k]))
+    else:
+        cols = [sum(digs[j::k]) for j in range(k)]
     s = 0
-    for t in lead:
+    for t in cols:
         s = s * b + t
-    for t in lead:
-        yield s
-        s = b * s - modulus * t
+    m, rem = divmod(s, b**k - 1)
+    if rem:
+        return None
+    out = []
+    for t in cols:
+        if not 0 < m < d:
+            raise MidyError(
+                f"block multiplier {m} of rotation {len(out)} is outside 1 .. {d - 1} for "
+                f"d = {d}: the digits are no period of a unit fraction"
+            )
+        out.append(m)
+        m = b * m - t
+    return out
 
 
 def oracle_midy_sweep(
@@ -114,9 +136,10 @@ def oracle_midy_sweep(
 
     Returns {d: verdict}.  With ds omitted, every divisor >= 2 of the period
     length is tested, found by trial division, not by the factoring code the
-    oracle checks.  In ``all-x`` mode each unit numerator gets its own exact
-    block sum, tested for divisibility by b**k - 1; ``x-equals-1`` tests the
-    period integer of 1/n instead.
+    oracle checks.  In ``all-x`` mode one block sum per orbit and d is tested
+    for divisibility by b**k - 1, and each unit numerator gets its own exact
+    block sum m*(b**k - 1), whose multiplier m must lie in 1 .. d-1;
+    ``x-equals-1`` tests the period integer of 1/n instead.
     """
     if mode not in ("all-x", "x-equals-1"):
         raise MidyError(f"unknown oracle mode {mode!r}")
@@ -131,7 +154,6 @@ def oracle_midy_sweep(
         big = (b**e - 1) // n  # the period integer of 1/n
         return {d: big % (b ** (e // d) - 1) == 0 for d in ds}
     out = dict.fromkeys(ds, True)
-    moduli = {d: b ** (e // d) - 1 for d in ds}
     pending = list(ds)
     seen = bytearray(n)
     # one long division per orbit {x, x*b, x*b**2, ...}: its remainders are the
@@ -148,8 +170,7 @@ def oracle_midy_sweep(
             a, r = divmod(r * b, n)
             digs.append(a)
         for d in tuple(pending):
-            modulus = moduli[d]
-            if any(s % modulus for s in _rotation_block_sums(digs, b, e // d)):
+            if _rotation_multipliers(digs, b, d) is None:
                 out[d] = False
                 pending.remove(d)
     return out

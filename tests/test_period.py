@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from midy import ntcore, period
-from midy.analyzer import MidySet, midy_set
+from midy.analyzer import MidySet, midy_set, multiplier
 from midy.cli import main
 from midy.ntcore import MidyError, divisors, multiplicative_order
 from midy.period import (
-    _rotation_block_sums,
+    _rotation_multipliers,
     blocks,
     expand,
     oracle_midy_sweep,
@@ -209,6 +209,21 @@ def test_oracle_sweep_matches_block_sums():
                 assert oracle_midy_sweep(n, b, ds, mode) == literal, (n, b, mode, ds)
 
 
+def test_period_length_walks_one_pair_once():
+    # the oracle's two modes on one (n, b) share the walk; a refused walk is
+    # not cached, so it raises again
+    period._period_length.cache_clear()
+    for mode in ("all-x", "x-equals-1"):
+        oracle_midy_sweep(97, 10, mode=mode)
+    info = period._period_length.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (1, 1, 1 << 12)
+    for _ in range(2):
+        with pytest.raises(MidyError) as exc:
+            period._period_length(2000003, 10, 1000)
+        assert str(exc.value) == "the period length of 1/2000003 to base 10 is above its bound 1000"
+    assert period._period_length.cache_info().currsize == 1
+
+
 def test_oracle_verdicts_keep_their_hash():
     # every verdict of both modes for 2 <= n < 400 in bases 300, 97, 7 and 12,
     # pinned by hash: a change to how the oracle reads the digits keeps them all
@@ -221,32 +236,68 @@ def test_oracle_verdicts_keep_their_hash():
 
 
 def test_rotation_block_sums_are_exact():
-    # the oracle's k sums give the literal one of every x*b**t in the orbit, as sums[t % k]
+    # a member d gets k multipliers, and m[t % k]*(b**k - 1) is the literal
+    # block sum of every x*b**t in the orbit; a non-member d is refuted, and
+    # the literal sum of x is no multiple of b**k - 1
     cases = ((13, 10, 1), (49, 10, 3), (97, 10, 5), (41, 2, 7), (121, 3, 2), (37, 300, 5))
     for n, b, x in cases:
         e = multiplicative_order(b, n)
+        digs = list(expand(x, n, b).digits)
         for d in divisors(e):
             if d < 2:
                 continue
             k = e // d
-            sums = list(_rotation_block_sums(list(expand(x, n, b).digits), b, k))
-            assert len(sums) == k, (n, b, x, d)
+            m = _rotation_multipliers(digs, b, d)
+            if m is None:
+                assert blocks(expand(x, n, b), d).block_sum % (b**k - 1), (n, b, x, d)
+                continue
+            assert len(m) == k, (n, b, x, d)
             for t in range(e):
                 literal = blocks(expand(x * pow(b, t, n) % n, n, b), d).block_sum
-                assert sums[t % k] == literal, (n, b, x, d, t)
+                assert m[t % k] * (b**k - 1) == literal, (n, b, x, d, t)
+
+
+def test_rotation_multipliers_refuse_digits_of_no_unit_fraction():
+    # every block sum lies in 0 .. d*(b**k - 1), and a unit fraction's period
+    # is neither all 0s nor all (b-1)s, so 0 < m < d: at 0 or d the helper raises
+    for digs, b, d, m in (([0] * 6, 10, 2, 0), ([9] * 6, 10, 2, 2), ([1] * 4, 2, 4, 4)):
+        with pytest.raises(MidyError) as exc:
+            _rotation_multipliers(digs, b, d)
+        assert str(exc.value) == (
+            f"block multiplier {m} of rotation 0 is outside 1 .. {d - 1} for d = {d}: "
+            "the digits are no period of a unit fraction"
+        )
+
+
+def test_rotation_multipliers_match_the_remainder_multiplier():
+    # m_0 of the x = 1 orbit is S_d(1)/(b**k - 1), which analyzer.multiplier
+    # reads off the remainders b**(i*k) mod n
+    for b in (2, 3, 10):
+        for n in range(2, 200):
+            if gcd(n, b) != 1:
+                continue
+            e, members = literal_set(n, b)
+            digs = list(expand(1, n, b).digits)
+            for d in range(2, e + 1):
+                if e % d:
+                    continue
+                m = _rotation_multipliers(digs, b, d)
+                assert (m is not None) == (d in members), (n, b, d)
+                if m is not None:
+                    assert m[0] == multiplier(n, b, d), (n, b, d)
 
 
 def test_oracle_tests_k_block_sums_per_orbit_and_d(monkeypatch):
-    # each orbit yields k = e/d distinct block sums for each d, not e of them
+    # each orbit gets k = e/d multipliers for each member d, not e of them
     count = 0
 
-    def counting(digs, b, k):
+    def counting(digs, b, d):
         nonlocal count
-        for s in _rotation_block_sums(digs, b, k):
-            count += 1
-            yield s
+        m = _rotation_multipliers(digs, b, d)
+        count += len(m or ())
+        return m
 
-    monkeypatch.setattr(period, "_rotation_block_sums", counting)
+    monkeypatch.setattr(period, "_rotation_multipliers", counting)
     verdicts = oracle_midy_sweep(97, 10)  # one orbit of 96 numerators
     assert len(verdicts) == 11 and all(verdicts.values())
     assert count == 156  # sigma(96) - 96, the sum of e/d over the divisors d >= 2
