@@ -291,8 +291,8 @@ def shrink(n: int, b: int, *, oracle_bound: int = _ORACLE_BOUND) -> ShrinkResult
     or {e}, for n and then z*n, listing no divisor of e.  When z*n stays within
     oracle_bound the singleton is re-checked against the digit oracle: about
     phi(z*n) long-division steps, one digit per unit numerator, plus for
-    each divisor d not yet refuted one big-int test and e/d small multiplier
-    steps per orbit of e numerators.  A set that is already the singleton
+    each divisor d not yet refuted about phi(z*n) digit additions for the
+    column sums and one big-int test per orbit of e numerators.  A set that is already the singleton
     returns z = 1 untouched, with no re-check.
     """
     _check_pair(b, n)

@@ -5,10 +5,10 @@ The oracle here is the ground truth the theorem-based tests in
 Its all-x mode runs one long division per orbit {x, x*b, x*b**2, ...} of the
 unit numerators: the digits of x*b mod n are those of x rotated one place
 left, so that division yields the digits of every numerator in the orbit.
-For blocks of k digits the block sums repeat with period k along the orbit.
-The first is tested against b**k - 1 as one big int; each numerator's exact
-sum is then m*(b**k - 1), with its multiplier m stepped from its
-predecessor's as a small int and checked to lie strictly between 0 and d.
+For blocks of k digits, one place of rotation turns a block sum S into
+b*S - (b**k - 1)*T, with T a column sum of the blocks, so b**k - 1 divides
+every sum of the orbit once it divides the first: one big-int test per orbit
+and d decides it.
 """
 
 from __future__ import annotations
@@ -90,21 +90,19 @@ def blocks(expansion: PeriodExpansion, d: int) -> BlockDecomposition:
     return BlockDecomposition(d=d, k=k, blocks=tuple(vals), block_sum=sum(vals))
 
 
-def _rotation_multipliers(digs: list[int], b: int, d: int) -> list[int] | None:
-    """Multipliers m_0 ... m_{k-1} of a period's d-block sums over its first k rotations.
+def _block_multiplier(digs: list[int], b: int, d: int) -> int | None:
+    """The multiplier m = S/(b**k - 1) of a period's d-block sum S, or None when it is no integer.
 
-    Rotation t (t places left) of the period of x/n is the period of
-    x*b**t mod n.  With blocks of k = e/d digits, S_t = m_t*(b**k - 1) is its
-    block sum, and the column sums T of the blocks give
-    S_{t+1} = b*S_t - (b**k - 1)*T_t.  S_0 is the Horner value of T, the one
-    big-int test: None when b**k - 1 does not divide it.  Otherwise every
-    later sum is a multiple too, and m_{t+1} = b*m_t - T_t.  Rotating by k
-    places moves the first block to the end, so rotation t has the sum of
-    rotation t mod k.  Each sum adds d blocks of k digits and a unit fraction's
-    period is neither all 0s nor all (b-1)s, so 0 < m_t < d; a multiplier
-    outside raises MidyError.
+    With blocks of k = e/d digits, the k column sums T of the blocks give S as
+    their Horner value, and the sum of the period rotated one place left is
+    b*S - (b**k - 1)*T_0.  So when b**k - 1 divides S it divides the block sum
+    of every rotation, and one test decides the whole orbit {x, x*b, ...}.
+    S adds d blocks of k digits and a unit fraction's period is neither all 0s
+    nor all (b-1)s, so 0 < m < d; a multiplier outside raises MidyError.
     """
     k = len(digs) // d
+    # measured on the bench's oracle-sweep moduli: folding the d blocks wins
+    # while they are few, the k strided slices once they are many
     if d < k:
         cols = digs[:k]
         for j in range(k, len(digs), k):
@@ -117,16 +115,12 @@ def _rotation_multipliers(digs: list[int], b: int, d: int) -> list[int] | None:
     m, rem = divmod(s, b**k - 1)
     if rem:
         return None
-    out = []
-    for t in cols:
-        if not 0 < m < d:
-            raise MidyError(
-                f"block multiplier {m} of rotation {len(out)} is outside 1 .. {d - 1} for "
-                f"d = {d}: the digits are no period of a unit fraction"
-            )
-        out.append(m)
-        m = b * m - t
-    return out
+    if not 0 < m < d:
+        raise MidyError(
+            f"block multiplier {m} is outside 1 .. {d - 1} for d = {d}: "
+            "the digits are no period of a unit fraction"
+        )
+    return m
 
 
 def oracle_midy_sweep(
@@ -137,8 +131,7 @@ def oracle_midy_sweep(
     Returns {d: verdict}.  With ds omitted, every divisor >= 2 of the period
     length is tested, found by trial division, not by the factoring code the
     oracle checks.  In ``all-x`` mode one block sum per orbit and d is tested
-    for divisibility by b**k - 1, and each unit numerator gets its own exact
-    block sum m*(b**k - 1), whose multiplier m must lie in 1 .. d-1;
+    for divisibility by b**k - 1, which decides every numerator of the orbit;
     ``x-equals-1`` tests the period integer of 1/n instead.
     """
     if mode not in ("all-x", "x-equals-1"):
@@ -170,7 +163,7 @@ def oracle_midy_sweep(
             a, r = divmod(r * b, n)
             digs.append(a)
         for d in tuple(pending):
-            if _rotation_multipliers(digs, b, d) is None:
+            if _block_multiplier(digs, b, d) is None:
                 out[d] = False
                 pending.remove(d)
     return out

@@ -24,6 +24,22 @@ def literal_set(n, b):
     )
 
 
+def rotation_multipliers(p, d):
+    """S_t/(b**k - 1) for the d-block sums S_t of the first k rotations of the period p,
+    or None when the literal S_0 is no multiple: stepped by m_{t+1} = b*m_t - T_t, with T
+    the k column sums of the blocks."""
+    b, e = p.base, len(p.digits)
+    k = e // d
+    m, rem = divmod(blocks(p, d).block_sum, b**k - 1)
+    if rem:
+        return None
+    out = []
+    for j in range(k):
+        out.append(m)
+        m = b * m - sum(p.digits[j::k])
+    return out
+
+
 def block_power_sum(x, d, mod):
     # sum_{i<d} x**i mod mod for x >= 1: x**d - 1 = (x - 1) * sum, so x**d
     # reduced mod mod * (x - 1) leaves the sum mod mod

@@ -11,13 +11,13 @@ from midy.analyzer import MidySet, midy_set, multiplier
 from midy.cli import main
 from midy.ntcore import MidyError, divisors, multiplicative_order
 from midy.period import (
-    _rotation_multipliers,
+    _block_multiplier,
     blocks,
     expand,
     oracle_midy_sweep,
     period_integer,
 )
-from reference import DIGITS_1_49, literal_set, rebind_everywhere
+from reference import DIGITS_1_49, literal_set, rebind_everywhere, rotation_multipliers
 
 
 def test_expand_examples():
@@ -236,42 +236,44 @@ def test_oracle_verdicts_keep_their_hash():
 
 
 def test_rotation_block_sums_are_exact():
-    # a member d gets k multipliers, and m[t % k]*(b**k - 1) is the literal
-    # block sum of every x*b**t in the orbit; a non-member d is refuted, and
-    # the literal sum of x is no multiple of b**k - 1
+    # the oracle's one test per orbit and d: for a member d its multiplier is
+    # m_0 of the reference's k stepped multipliers, and m[t % k]*(b**k - 1) is
+    # the literal block sum of every x*b**t in the orbit; a non-member d is
+    # refuted, and the literal sum of x is no multiple of b**k - 1
     cases = ((13, 10, 1), (49, 10, 3), (97, 10, 5), (41, 2, 7), (121, 3, 2), (37, 300, 5))
     for n, b, x in cases:
         e = multiplicative_order(b, n)
-        digs = list(expand(x, n, b).digits)
+        p = expand(x, n, b)
         for d in divisors(e):
             if d < 2:
                 continue
             k = e // d
-            m = _rotation_multipliers(digs, b, d)
-            if m is None:
-                assert blocks(expand(x, n, b), d).block_sum % (b**k - 1), (n, b, x, d)
+            m0 = _block_multiplier(list(p.digits), b, d)
+            if m0 is None:
+                assert blocks(p, d).block_sum % (b**k - 1), (n, b, x, d)
                 continue
-            assert len(m) == k, (n, b, x, d)
+            m = rotation_multipliers(p, d)
+            assert len(m) == k and m[0] == m0, (n, b, x, d)
             for t in range(e):
                 literal = blocks(expand(x * pow(b, t, n) % n, n, b), d).block_sum
                 assert m[t % k] * (b**k - 1) == literal, (n, b, x, d, t)
 
 
-def test_rotation_multipliers_refuse_digits_of_no_unit_fraction():
-    # every block sum lies in 0 .. d*(b**k - 1), and a unit fraction's period
-    # is neither all 0s nor all (b-1)s, so 0 < m < d: at 0 or d the helper raises
+def test_block_multiplier_refuses_digits_of_no_unit_fraction():
+    # a block sum lies in 0 .. d*(b**k - 1), and a unit fraction's period is
+    # neither all 0s nor all (b-1)s, so 0 < m < d: at 0 or d the helper raises
     for digs, b, d, m in (([0] * 6, 10, 2, 0), ([9] * 6, 10, 2, 2), ([1] * 4, 2, 4, 4)):
         with pytest.raises(MidyError) as exc:
-            _rotation_multipliers(digs, b, d)
+            _block_multiplier(digs, b, d)
         assert str(exc.value) == (
-            f"block multiplier {m} of rotation 0 is outside 1 .. {d - 1} for d = {d}: "
+            f"block multiplier {m} is outside 1 .. {d - 1} for d = {d}: "
             "the digits are no period of a unit fraction"
         )
 
 
-def test_rotation_multipliers_match_the_remainder_multiplier():
-    # m_0 of the x = 1 orbit is S_d(1)/(b**k - 1), which analyzer.multiplier
-    # reads off the remainders b**(i*k) mod n
+def test_block_multiplier_matches_the_remainder_multiplier():
+    # the x = 1 orbit's multiplier is S_d(1)/(b**k - 1), which
+    # analyzer.multiplier reads off the remainders b**(i*k) mod n
     for b in (2, 3, 10):
         for n in range(2, 200):
             if gcd(n, b) != 1:
@@ -281,29 +283,31 @@ def test_rotation_multipliers_match_the_remainder_multiplier():
             for d in range(2, e + 1):
                 if e % d:
                     continue
-                m = _rotation_multipliers(digs, b, d)
+                m = _block_multiplier(digs, b, d)
                 assert (m is not None) == (d in members), (n, b, d)
                 if m is not None:
-                    assert m[0] == multiplier(n, b, d), (n, b, d)
+                    assert m == multiplier(n, b, d), (n, b, d)
 
 
 def test_oracle_tests_k_block_sums_per_orbit_and_d(monkeypatch):
-    # each orbit gets k = e/d multipliers for each member d, not e of them
-    count = 0
+    # one test per orbit and d decides the k = e/d distinct block sums of a
+    # member d, so the oracle makes one call per orbit and d, not e of them
+    calls = decided = 0
 
     def counting(digs, b, d):
-        nonlocal count
-        m = _rotation_multipliers(digs, b, d)
-        count += len(m or ())
+        nonlocal calls, decided
+        m = _block_multiplier(digs, b, d)
+        calls += 1
+        decided += 0 if m is None else len(digs) // d
         return m
 
-    monkeypatch.setattr(period, "_rotation_multipliers", counting)
+    monkeypatch.setattr(period, "_block_multiplier", counting)
     verdicts = oracle_midy_sweep(97, 10)  # one orbit of 96 numerators
     assert len(verdicts) == 11 and all(verdicts.values())
-    assert count == 156  # sigma(96) - 96, the sum of e/d over the divisors d >= 2
-    count = 0
+    assert (calls, decided) == (11, 156)  # sigma(96) - 96, the sum of e/d over the divisors d >= 2
+    calls = decided = 0
     oracle_midy_sweep(91, 10)  # 12 orbits of 6, d = 2, 3, 6
-    assert count == 72
+    assert (calls, decided) == (36, 72)
 
 
 def test_sweep_matches_singles_at_large_base():
